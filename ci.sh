@@ -33,6 +33,7 @@ STAGES=(
   trace-smoke
   gate-trace
   bench-build
+  bench-e2e
   bench-physical
   bench-cache
   gate-cache
@@ -221,11 +222,20 @@ stage_bench_build() { # bench workspace builds (offline, detached)
   ( cd crates/bench && cargo build --offline && cargo test -q --offline )
 }
 
+stage_bench_e2e() { # end-to-end benchmark package builds and tests (offline, detached)
+  # crates/bench/e2e is its own workspace, so no other stage compiles it.
+  # Its tests include tests/pipeline.rs, which checks the engine against
+  # the benchmark's stage-by-stage replay on every workload — an engine
+  # API the replay calls cannot change without failing here.
+  cargo test --release --offline --manifest-path crates/bench/e2e/Cargo.toml
+}
+
 stage_bench_physical() { # physical planning bench export (results/physical_planning.json)
-  # The bench asserts logical/physical bit-identity, β-gated audit
-  # parity, and that the low-β workload actually skips exact expansions,
-  # then exports its measurements; the in-repo parser validates the
-  # document.
+  # The bench asserts hash/nested-loop and index/table-scan bit-identity
+  # on the vectorized executor, that the β-gated engine releases exactly
+  # what the logical oracle releases, and that the low-β workload
+  # actually skips exact expansions, then exports its measurements; the
+  # in-repo parser validates the document.
   mkdir -p results
   ( cd crates/bench \
     && cargo bench -q --offline --bench physical_planning -- \
@@ -235,9 +245,10 @@ stage_bench_physical() { # physical planning bench export (results/physical_plan
 }
 
 stage_bench_cache() { # circuit-cache bench export (results/confidence_cache.json)
-  # The bench asserts cache-on/cache-off bit-identity over the repeated
-  # what-if workload, nonzero memo hits and invalidations, and the ≥5x
-  # speedup contract, then exports its measurements.
+  # The bench asserts cached/uncached bit-identity over the repeated
+  # re-scoring workload, nonzero memo hits and invalidations, the ≥5x
+  # speedup contract, and that the engine's what-if previews equal the
+  # logical oracle's, then exports its measurements.
   mkdir -p results
   ( cd crates/bench \
     && cargo bench -q --offline --bench confidence_cache -- \
@@ -259,9 +270,9 @@ stage_gate_cache() { # bench-regression gate (confidence_cache vs checked-in bas
 }
 
 stage_bench_vectorized() { # vectorized-execution bench export (results/vectorized_exec.json)
-  # The bench asserts vectorized/tuple bit-identity on every workload at
-  # 1, 2 and 4 worker threads and the ≥2x scan-workload speedup
-  # contract, then exports the full thread-count curve.
+  # The bench asserts vectorized/logical-oracle bit-identity on every
+  # workload at 1, 2 and 4 worker threads and the ≥2x scan-workload
+  # speedup contract, then exports the full thread-count curve.
   mkdir -p results
   ( cd crates/bench \
     && cargo bench -q --offline --bench vectorized_exec -- \
@@ -272,7 +283,7 @@ stage_bench_vectorized() { # vectorized-execution bench export (results/vectoriz
 
 stage_gate_vectorized() { # bench-regression gate (vectorized_exec vs checked-in baseline)
   # The baseline pins the deterministic workload row counts and a 2.0
-  # floor on the scan-workload vectorized-vs-tuple speedup (measured at
+  # floor on the scan-workload vectorized-vs-logical speedup (measured at
   # the same thread count, so the bar holds on single-core runners).
   if [ ! -f results/vectorized_exec.json ]; then
     echo "gate-vectorized: results/vectorized_exec.json missing; run the bench-vectorized stage first" >&2

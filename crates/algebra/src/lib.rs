@@ -50,9 +50,7 @@ pub use exec::{
 pub use expr::{BinaryOp, ColumnarRow, RowView, ScalarExpr, UnaryOp};
 pub use optimize::optimize;
 pub use physical::{
-    execute_physical, execute_physical_profiled, execute_physical_traced, execute_physical_with,
-    execute_vectorized, execute_vectorized_profiled, execute_vectorized_traced,
-    execute_vectorized_with, lower, render_side_by_side, PhysicalPlan,
+    execute_vectorized_traced, execute_vectorized_with, lower, render_side_by_side, PhysicalPlan,
 };
 pub use plan::{Plan, ProjItem};
 pub use result::{DerivedTuple, GatedScore, ResultSet, ScoredTuple};

@@ -5,8 +5,9 @@
 //! paths (table scan vs equality-index scan), join strategies (hash join
 //! vs nested loop, chosen by deterministic cardinality estimates over
 //! [`pcqe_storage::TableStats`]) and pushed-down predicates — and then
-//! executes that tree with the same lineage semantics as the logical
-//! executor.
+//! executes that tree on the vectorized executor with the same lineage
+//! semantics as the logical tree-walker, which stays as the equivalence
+//! oracle.
 //!
 //! Layering:
 //!
@@ -15,8 +16,10 @@
 //!   `.plan` command;
 //! * [`planner`] — [`lower`], the cost-based lowering, plus the
 //!   [`estimate`] cardinality model that drives it;
-//! * [`exec`] — [`execute_physical`] and friends, bit-identical to the
-//!   logical [`crate::execute`] for any lowered plan.
+//! * [`vexec`] — [`execute_vectorized_with`] and
+//!   [`execute_vectorized_traced`], the morsel-driven columnar executor,
+//!   bit-identical to the logical [`crate::execute`] for any lowered
+//!   plan.
 //!
 //! The invariant tying the three together: **planning is a pure
 //! performance decision**. Every physical plan produced by [`lower`]
@@ -25,20 +28,13 @@
 //! (Section 3 of the paper) see exactly the same tuples regardless of
 //! which strategies the planner picked.
 
-pub mod exec;
 pub mod plan;
 pub mod planner;
 pub mod vexec;
 
-pub use exec::{
-    execute_physical, execute_physical_profiled, execute_physical_traced, execute_physical_with,
-};
 pub use plan::{render_side_by_side, PhysicalPlan};
 pub use planner::{estimate, lower};
-pub use vexec::{
-    execute_vectorized, execute_vectorized_profiled, execute_vectorized_traced,
-    execute_vectorized_with,
-};
+pub use vexec::{execute_vectorized_traced, execute_vectorized_with};
 
 #[cfg(test)]
 mod tests {
@@ -49,6 +45,11 @@ mod tests {
     use crate::{execute, execute_profiled, optimize};
     use pcqe_par::Parallelism;
     use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
+
+    /// Execute a lowered plan sequentially on the vectorized executor.
+    fn run(plan: &PhysicalPlan, catalog: &Catalog) -> crate::ResultSet {
+        execute_vectorized_with(plan, catalog, &Parallelism::sequential()).unwrap()
+    }
 
     /// The paper's running-example database (Tables 1 and 2).
     fn paper_db() -> Catalog {
@@ -168,7 +169,7 @@ mod tests {
         ] {
             let logical = execute(&plan, &catalog).unwrap();
             let phys = lower(&optimize(&plan, &catalog).unwrap(), &catalog).unwrap();
-            let physical = execute_physical(&phys, &catalog).unwrap();
+            let physical = run(&phys, &catalog);
             assert_eq!(logical.schema(), physical.schema());
             assert_eq!(logical.rows(), physical.rows());
         }
@@ -199,11 +200,12 @@ mod tests {
             "got:\n{text}"
         );
         let logical = execute(&plan, &catalog).unwrap();
-        let physical = execute_physical(&phys, &catalog).unwrap();
+        let physical = run(&phys, &catalog);
         assert_eq!(logical.rows(), physical.rows());
         // The index scan reads only the 2 SkyCam rows, not all 3.
         let (_, profile) =
-            execute_physical_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
+            execute_vectorized_traced(&phys, &catalog, &Parallelism::sequential(), None, None)
+                .unwrap();
         assert_eq!(profile.operators.len(), 1);
         assert_eq!(profile.operators[0].rows_in, 2);
         assert_eq!(profile.operators[0].rows_out, 1);
@@ -226,7 +228,7 @@ mod tests {
             Plan::scan("t").select(ScalarExpr::column(0).eq(ScalarExpr::literal(Value::Real(2.0))));
         let phys = lower(&plan, &catalog).unwrap();
         assert!(phys.to_string().contains("TableScan"), "got:\n{phys}");
-        assert_eq!(execute_physical(&phys, &catalog).unwrap().len(), 1);
+        assert_eq!(run(&phys, &catalog).len(), 1);
     }
 
     #[test]
@@ -253,7 +255,7 @@ mod tests {
         let phys = lower(&plan, &c).unwrap();
         assert!(phys.to_string().contains("HashJoin"), "got:\n{phys}");
         let logical = execute(&plan, &c).unwrap();
-        let physical = execute_physical(&phys, &c).unwrap();
+        let physical = run(&phys, &c);
         assert_eq!(logical.rows(), physical.rows());
     }
 
@@ -299,7 +301,7 @@ mod tests {
                 worker_threads: Some(workers),
                 parallel_threshold: 1,
             };
-            let physical = execute_physical_with(&phys, &c, &par).unwrap();
+            let physical = execute_vectorized_with(&phys, &c, &par).unwrap();
             assert_eq!(logical.rows(), physical.rows(), "workers={workers}");
         }
     }
@@ -310,8 +312,9 @@ mod tests {
         let plan = optimize(&paper_plan(&catalog), &catalog).unwrap();
         let phys = lower(&plan, &catalog).unwrap();
         let (rs, profile) =
-            execute_physical_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
-        let plain = execute_physical(&phys, &catalog).unwrap();
+            execute_vectorized_traced(&phys, &catalog, &Parallelism::sequential(), None, None)
+                .unwrap();
+        let plain = run(&phys, &catalog);
         assert_eq!(rs.rows(), plain.rows());
         let lines: Vec<String> = phys.to_string().lines().map(str::to_owned).collect();
         assert_eq!(lines.len(), profile.operators.len());
@@ -358,7 +361,7 @@ mod tests {
         for plan in [union, diff, sorted, agg] {
             let logical = execute(&plan, &c).unwrap();
             let phys = lower(&plan, &c).unwrap();
-            let physical = execute_physical(&phys, &c).unwrap();
+            let physical = run(&phys, &c);
             assert_eq!(logical.rows(), physical.rows(), "plan:\n{plan}");
         }
     }
@@ -371,7 +374,8 @@ mod tests {
             execute_profiled(&plan, &catalog, &Parallelism::sequential(), None).unwrap();
         let phys = lower(&plan, &catalog).unwrap();
         let (physical, _) =
-            execute_physical_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
+            execute_vectorized_traced(&phys, &catalog, &Parallelism::sequential(), None, None)
+                .unwrap();
         assert_eq!(logical.rows(), physical.rows());
     }
 }

@@ -86,174 +86,12 @@ impl ResultSet {
             .collect()
     }
 
-    /// [`Self::score`] with the confidence computation fanned out across
-    /// worker threads via [`pcqe_lineage::score_batch`].
-    ///
-    /// Byte-identical to the sequential [`Self::score`] for any
-    /// [`Parallelism`](pcqe_par::Parallelism): row order is preserved and
-    /// each row's confidence depends only on its lineage, `probs`, and the
-    /// evaluator's (fixed) Monte-Carlo seed.
-    pub fn score_par<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        par: &pcqe_par::Parallelism,
-    ) -> Result<Vec<ScoredTuple>> {
-        self.score_par_observed(probs, evaluator, par, None)
-    }
-
-    /// [`ResultSet::score_par`] with an optional scheduler observer:
-    /// identical scores for any observer and thread count.
-    pub fn score_par_observed<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        par: &pcqe_par::Parallelism,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-    ) -> Result<Vec<ScoredTuple>> {
-        let confidences = pcqe_par::try_map_observed(
-            par,
-            &self.rows,
-            |row| {
-                evaluator
-                    .probability(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))
-            },
-            observer,
-        )?;
-        Ok(self
-            .rows
-            .iter()
-            .zip(confidences)
-            .map(|(row, confidence)| ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            })
-            .collect())
-    }
-
-    /// β-gated scoring: skip exact confidence computation for rows whose
-    /// cheap monotone upper bound ([`pcqe_lineage::upper_bound`], linear in
-    /// lineage size) already proves the row cannot pass the policy
-    /// threshold `beta`.
-    ///
-    /// A policy admits a row iff its confidence is **strictly** greater
-    /// than β. The Fréchet upper bound is sound under any dependence
-    /// structure, so `upper ≤ β` implies `exact ≤ β` — the row is withheld
-    /// either way, and the released-tuple set is provably identical to
-    /// exact scoring. Skipped rows carry their upper bound as `confidence`
-    /// (a labelled over-estimate, never an admit) and are flagged in
-    /// [`GatedScore::skipped`] so callers that later need exact values
-    /// (e.g. strategy finding over withheld rows) can re-score just those
-    /// rows via [`ResultSet::rescore_exact`].
-    pub fn score_gated<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        beta: f64,
-        par: &pcqe_par::Parallelism,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-    ) -> Result<GatedScore> {
-        let outcomes = pcqe_par::try_map_observed(
-            par,
-            &self.rows,
-            |row| -> Result<(f64, bool)> {
-                let upper = pcqe_lineage::upper_bound(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                if upper <= beta {
-                    return Ok((upper, true));
-                }
-                let exact = evaluator
-                    .probability(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                Ok((exact, false))
-            },
-            observer,
-        )?;
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut skipped = Vec::with_capacity(self.rows.len());
-        let mut exact_skipped = 0usize;
-        for (row, (confidence, was_skipped)) in self.rows.iter().zip(outcomes) {
-            scored.push(ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            });
-            skipped.push(was_skipped);
-            if was_skipped {
-                exact_skipped += 1;
-            }
-        }
-        Ok(GatedScore {
-            scored,
-            skipped,
-            exact_skipped,
-        })
-    }
-
-    /// [`Self::score_gated`] with a causal-trace sink: one `beta.skip`
-    /// or `score.exact` instant per row, emitted **after** the batch in
-    /// row order (never from inside the parallel closure), so the trace
-    /// is deterministic at any thread count. Scores are byte-identical
-    /// to the untraced call for any sink.
-    pub fn score_gated_traced<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        beta: f64,
-        par: &pcqe_par::Parallelism,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-        trace: Option<&dyn TraceSink>,
-    ) -> Result<GatedScore> {
-        let gated = self.score_gated(probs, evaluator, beta, par, observer)?;
-        if let Some(sink) = trace {
-            emit_gate_instants(sink, &gated, beta);
-        }
-        Ok(gated)
-    }
-
-    /// Replace bound-valued confidences with exact ones for the rows
-    /// flagged in `skipped` (in place over a [`GatedScore::scored`]
-    /// vector). Used by callers that decided to skip exact evaluation for
-    /// β-failing rows but later need true confidences — e.g. before
-    /// computing improvement strategies over withheld tuples.
-    pub fn rescore_exact<P: ProbSource + Sync>(
-        scored: &mut [ScoredTuple],
-        skipped: &[bool],
-        probs: &P,
-        evaluator: &Evaluator,
-        par: &pcqe_par::Parallelism,
-    ) -> Result<usize> {
-        let targets: Vec<usize> = skipped
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &s)| (s && i < scored.len()).then_some(i))
-            .collect();
-        let lineages: Vec<Lineage> = targets
-            .iter()
-            .filter_map(|&i| scored.get(i).map(|s| s.lineage.clone()))
-            .collect();
-        let exact = pcqe_par::try_map(par, &lineages, |l| {
-            evaluator
-                .probability(l, probs)
-                .map_err(|e| AlgebraError::Lineage(e.to_string()))
-        })?;
-        let n = targets.len();
-        for (i, confidence) in targets.into_iter().zip(exact) {
-            if let Some(s) = scored.get_mut(i) {
-                s.confidence = confidence;
-            }
-        }
-        Ok(n)
-    }
-
     /// [`Self::score`] through a shared [`CircuitCache`]: rows with equal
     /// or overlapping lineage share compiled subcircuits and memoized
-    /// probabilities. Bit-identical to [`Self::score`]/[`Self::score_par`]
-    /// whenever `cache.probs()` agrees with the probability source those
-    /// were given — the cache replays the interpreter's float operations in
-    /// the same order, and memo hits return the identical f64.
+    /// probabilities. Bit-identical to [`Self::score`] whenever
+    /// `cache.probs()` agrees with the probability source it was given —
+    /// the cache replays the interpreter's float operations in the same
+    /// order, and memo hits return the identical f64.
     ///
     /// The pass is sequential by construction (memoized evaluation is a
     /// shared-state walk), which is what makes it thread-count independent:
@@ -263,112 +101,49 @@ impl ResultSet {
         cache: &mut CircuitCache,
         evaluator: &Evaluator,
     ) -> Result<Vec<ScoredTuple>> {
-        self.score_cached_traced(cache, evaluator)
-            .map(|(scored, _)| scored)
-    }
-
-    /// [`Self::score_cached`] with a per-row [`ConfidencePath`] report
-    /// (`CacheHit` when the root memo answered, `Exact` otherwise).
-    /// Identical scores and cache transitions to the plain call.
-    pub fn score_cached_traced(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-    ) -> Result<(Vec<ScoredTuple>, Vec<ConfidencePath>)> {
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut paths = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            let before = cache.stats();
-            let confidence = cache
-                .score_lineage(&row.lineage, evaluator)
-                .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-            paths.push(classify_cached(before, cache.stats()));
-            scored.push(ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            });
-        }
-        Ok((scored, paths))
-    }
-
-    /// [`Self::score_gated`] through a shared [`CircuitCache`]: the same
-    /// Fréchet-bound gate (rows with `upper ≤ β` skip exact evaluation and
-    /// carry the bound), with exact scores served from the cache. Skip
-    /// decisions and confidences are bit-identical to the uncached gated
-    /// path under the same probabilities.
-    pub fn score_gated_cached(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-        beta: f64,
-    ) -> Result<GatedScore> {
-        self.score_gated_cached_traced(cache, evaluator, beta, None)
-            .map(|(gated, _)| gated)
-    }
-
-    /// [`Self::score_gated_cached`] with a causal-trace sink and a
-    /// per-row [`ConfidencePath`] report: `BetaSkipped` for gated rows,
-    /// `CacheHit` when the whole circuit came from the root memo,
-    /// `Exact` when compilation (or the Monte-Carlo fallback) ran.
-    /// Scores, skip flags and cache state transitions are byte-identical
-    /// to the untraced call — the path classification only *reads* the
-    /// stats counters the cache was already keeping.
-    pub fn score_gated_cached_traced(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-        beta: f64,
-        trace: Option<&dyn TraceSink>,
-    ) -> Result<(GatedScore, Vec<ConfidencePath>)> {
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut skipped = Vec::with_capacity(self.rows.len());
-        let mut paths = Vec::with_capacity(self.rows.len());
-        let mut exact_skipped = 0usize;
-        for row in &self.rows {
-            let upper = pcqe_lineage::upper_bound(&row.lineage, cache.probs())
-                .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-            let (confidence, was_skipped, path) = if upper <= beta {
-                (upper, true, ConfidencePath::BetaSkipped)
-            } else {
-                let before = cache.stats();
-                let exact = cache
+        self.rows
+            .iter()
+            .map(|row| {
+                let confidence = cache
                     .score_lineage(&row.lineage, evaluator)
                     .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                (exact, false, classify_cached(before, cache.stats()))
-            };
-            scored.push(ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            });
-            skipped.push(was_skipped);
-            paths.push(path);
-            if was_skipped {
-                exact_skipped += 1;
-            }
-        }
-        let gated = GatedScore {
-            scored,
-            skipped,
-            exact_skipped,
-        };
-        if let Some(sink) = trace {
-            emit_gate_instants(sink, &gated, beta);
-        }
-        Ok((gated, paths))
+                Ok(ScoredTuple {
+                    tuple: row.tuple.clone(),
+                    lineage: row.lineage.clone(),
+                    confidence,
+                })
+            })
+            .collect()
     }
 
-    /// [`Self::score_gated_cached_traced`], driven morsel-by-morsel for
-    /// the vectorized pipeline: rows are scored in the same sequential
-    /// order through the same shared cache (memoized evaluation is a
-    /// shared-state walk — chunking changes *reporting*, never
-    /// evaluation), and each morsel surfaces one single-worker
-    /// [`pcqe_par::BatchReport`] to the observer so `.trace` files show
-    /// the scoring pass's batch structure alongside the executor's.
-    /// Scores, skip flags, paths and cache transitions are bit-identical
-    /// to [`Self::score_gated_cached_traced`]; gate instants are emitted
-    /// post-pass in row order, exactly as there.
+    /// β-gated scoring through a shared [`CircuitCache`]: skip exact
+    /// confidence computation for rows whose cheap monotone upper bound
+    /// ([`pcqe_lineage::upper_bound`], linear in lineage size) already
+    /// proves the row cannot pass the policy threshold `beta`, and serve
+    /// every other row's exact score from the cache.
+    ///
+    /// A policy admits a row iff its confidence is **strictly** greater
+    /// than β. The Fréchet upper bound is sound under any dependence
+    /// structure, so `upper ≤ β` implies `exact ≤ β` — the row is withheld
+    /// either way, and the released-tuple set is provably identical to
+    /// exact scoring. Skipped rows carry their upper bound as `confidence`
+    /// (a labelled over-estimate, never an admit) and are flagged in
+    /// [`GatedScore::skipped`] so callers that later need exact values
+    /// (strategy finding over withheld rows) can re-score just those rows
+    /// via [`ResultSet::rescore_exact_cached`]. Unskipped rows are
+    /// bit-identical to [`Self::score`].
+    ///
+    /// Rows are scored sequentially (memoized evaluation is a shared-state
+    /// walk) but in morsel-sized chunks, and each morsel surfaces one
+    /// single-worker [`pcqe_par::BatchReport`] to the observer so `.trace`
+    /// files show the scoring pass's batch structure alongside the
+    /// executor's — chunking changes *reporting*, never evaluation. The
+    /// per-row [`ConfidencePath`] report says `BetaSkipped` for gated
+    /// rows, `CacheHit` when the whole circuit came from the root memo and
+    /// `Exact` when compilation (or the Monte-Carlo fallback) ran; it only
+    /// *reads* the stats counters the cache was already keeping. One
+    /// `beta.skip`/`score.exact` instant per row goes to `trace` after
+    /// the pass, in row order.
     pub fn score_gated_cached_morsels_traced(
         &self,
         cache: &mut CircuitCache,
@@ -429,9 +204,11 @@ impl ResultSet {
         Ok((gated, paths))
     }
 
-    /// [`Self::rescore_exact`] through a shared [`CircuitCache`]; same
-    /// in-place contract, with the flagged rows' exact confidences served
-    /// from (and memoized into) the pool.
+    /// Replace bound-valued confidences with exact ones for the rows
+    /// flagged in `skipped` (in place over a [`GatedScore::scored`]
+    /// vector), served from (and memoized into) the shared pool. Used
+    /// before computing improvement strategies over withheld tuples,
+    /// which need true confidences. Returns the number of rows re-scored.
     pub fn rescore_exact_cached(
         scored: &mut [ScoredTuple],
         skipped: &[bool],
@@ -454,7 +231,7 @@ impl ResultSet {
     }
 }
 
-/// The outcome of [`ResultSet::score_gated`].
+/// The outcome of [`ResultSet::score_gated_cached_morsels_traced`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatedScore {
     /// One scored tuple per result row, in row order. Rows with
@@ -541,29 +318,33 @@ mod tests {
         )
     }
 
-    #[test]
-    fn scoring_computes_probabilities() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let scored = rs.score(&probs, &Evaluator::default()).unwrap();
-        assert_eq!(scored.len(), 2);
-        assert!((scored[0].confidence - 0.5).abs() < 1e-12);
-        assert!((scored[1].confidence - 0.2).abs() < 1e-12);
+    fn probs() -> HashMap<VarId, f64> {
+        [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect()
+    }
+
+    fn seeded_cache(probs: &HashMap<VarId, f64>) -> CircuitCache {
+        let mut cache = CircuitCache::new();
+        let mut sorted: Vec<(VarId, f64)> = probs.iter().map(|(&v, &p)| (v, p)).collect();
+        sorted.sort_by_key(|&(v, _)| v);
+        for (v, p) in sorted {
+            cache.set_prob(v, p);
+        }
+        cache
+    }
+
+    fn gated(rs: &ResultSet, cache: &mut CircuitCache, beta: f64) -> GatedScore {
+        rs.score_gated_cached_morsels_traced(cache, &Evaluator::default(), beta, None, None)
+            .unwrap()
+            .0
     }
 
     #[test]
-    fn parallel_scoring_matches_sequential() {
+    fn scoring_computes_probabilities() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let sequential = rs.score(&probs, &Evaluator::default()).unwrap();
-        for workers in [1usize, 2, 8] {
-            let par = pcqe_par::Parallelism {
-                worker_threads: Some(workers),
-                parallel_threshold: 1,
-            };
-            let parallel = rs.score_par(&probs, &Evaluator::default(), &par).unwrap();
-            assert_eq!(parallel, sequential, "workers={workers}");
-        }
+        let scored = rs.score(&probs(), &Evaluator::default()).unwrap();
+        assert_eq!(scored.len(), 2);
+        assert!((scored[0].confidence - 0.5).abs() < 1e-12);
+        assert!((scored[1].confidence - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -572,6 +353,11 @@ mod tests {
         let probs: HashMap<VarId, f64> = [(VarId(0), 0.5)].into_iter().collect();
         assert!(matches!(
             rs.score(&probs, &Evaluator::default()),
+            Err(AlgebraError::Lineage(_))
+        ));
+        let mut cache = seeded_cache(&probs);
+        assert!(matches!(
+            rs.score_cached(&mut cache, &Evaluator::default()),
             Err(AlgebraError::Lineage(_))
         ));
     }
@@ -586,21 +372,30 @@ mod tests {
     #[test]
     fn gated_scoring_skips_only_provably_failing_rows() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
+        let probs = probs();
         // Row 0: exact 0.5; row 1 (AND): exact 0.2, upper bound
         // min(0.5, 0.4) = 0.4.
-        let gated = rs
-            .score_gated(&probs, &Evaluator::default(), 0.45, &par, None)
+        let (gated, paths) = rs
+            .score_gated_cached_morsels_traced(
+                &mut seeded_cache(&probs),
+                &Evaluator::default(),
+                0.45,
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(gated.exact_skipped, 1);
         assert_eq!(gated.skipped, vec![false, true]);
+        assert_eq!(paths[1], ConfidencePath::BetaSkipped);
         // Unskipped rows carry exact confidence; skipped rows carry the
         // (≤ β) upper bound.
-        assert!((gated.scored[0].confidence - 0.5).abs() < 1e-12);
+        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
+        assert_eq!(
+            gated.scored[0].confidence.to_bits(),
+            exact[0].confidence.to_bits()
+        );
         assert!((gated.scored[1].confidence - 0.4).abs() < 1e-12);
         // Classification against β is identical to exact scoring.
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
         for (g, e) in gated.scored.iter().zip(&exact) {
             assert_eq!(g.confidence > 0.45, e.confidence > 0.45);
         }
@@ -609,32 +404,19 @@ mod tests {
     #[test]
     fn gated_scoring_with_high_bound_matches_exact() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
+        let probs = probs();
         // β = 0.1: no row's bound proves failure, so nothing is skipped
-        // and every confidence is exact.
-        let gated = rs
-            .score_gated(&probs, &Evaluator::default(), 0.1, &par, None)
-            .unwrap();
+        // and every confidence is exact, bit for bit.
+        let gated = gated(&rs, &mut seeded_cache(&probs), 0.1);
         assert_eq!(gated.exact_skipped, 0);
         let exact = rs.score(&probs, &Evaluator::default()).unwrap();
         assert_eq!(gated.scored, exact);
     }
 
-    fn seeded_cache(probs: &HashMap<VarId, f64>) -> CircuitCache {
-        let mut cache = CircuitCache::new();
-        let mut sorted: Vec<(VarId, f64)> = probs.iter().map(|(&v, &p)| (v, p)).collect();
-        sorted.sort_by_key(|&(v, _)| v);
-        for (v, p) in sorted {
-            cache.set_prob(v, p);
-        }
-        cache
-    }
-
     #[test]
     fn cached_scoring_is_bit_identical_to_plain() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
+        let probs = probs();
         let plain = rs.score(&probs, &Evaluator::default()).unwrap();
         let mut cache = seeded_cache(&probs);
         // Score twice: the second pass is pure memo hits and must not
@@ -654,34 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_gating_matches_plain_gating_bitwise() {
+    fn rescore_exact_restores_true_confidences() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
-        for beta in [0.1, 0.45] {
-            let plain = rs
-                .score_gated(&probs, &Evaluator::default(), beta, &par, None)
-                .unwrap();
-            let mut cache = seeded_cache(&probs);
-            let cached = rs
-                .score_gated_cached(&mut cache, &Evaluator::default(), beta)
-                .unwrap();
-            assert_eq!(cached.skipped, plain.skipped, "beta={beta}");
-            assert_eq!(cached.exact_skipped, plain.exact_skipped);
-            for (c, p) in cached.scored.iter().zip(&plain.scored) {
-                assert_eq!(c.confidence.to_bits(), p.confidence.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn cached_rescore_matches_plain_rescore() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
+        let probs = probs();
         let mut cache = seeded_cache(&probs);
-        let mut cached = rs
-            .score_gated_cached(&mut cache, &Evaluator::default(), 0.45)
-            .unwrap();
+        let mut cached = gated(&rs, &mut cache, 0.45);
         let n = ResultSet::rescore_exact_cached(
             &mut cached.scored,
             &cached.skipped,
@@ -694,26 +453,5 @@ mod tests {
         for (c, p) in cached.scored.iter().zip(&exact) {
             assert_eq!(c.confidence.to_bits(), p.confidence.to_bits());
         }
-    }
-
-    #[test]
-    fn rescore_exact_restores_true_confidences() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
-        let mut gated = rs
-            .score_gated(&probs, &Evaluator::default(), 0.45, &par, None)
-            .unwrap();
-        let n = ResultSet::rescore_exact(
-            &mut gated.scored,
-            &gated.skipped,
-            &probs,
-            &Evaluator::default(),
-            &par,
-        )
-        .unwrap();
-        assert_eq!(n, 1);
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
-        assert_eq!(gated.scored, exact);
     }
 }

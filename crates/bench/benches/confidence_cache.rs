@@ -11,19 +11,22 @@
 //! the cache off, every probe re-runs Shannon expansion on every
 //! circuit from scratch.
 //!
-//! A second section times the same loop end-to-end through
-//! `Database::what_if` with `EngineConfig::circuit_cache` on and off.
+//! A second section runs the same loop end-to-end through
+//! `Database::what_if`, which always scores through the cache: every
+//! preview is checked against the uncached logical oracle, and the
+//! engine's previews are timed against the oracle's.
 //!
 //! The run emits a `pcqe-obs` metrics JSON document to the path given as
 //! the first argument (default `results/confidence_cache.json`); CI
 //! gates it against `results/baseline_confidence_cache.json` with
 //! `pcqe-obs-validate --gate`.
 
+use pcqe_bench::oracle;
 use pcqe_bench::timing::{bench, group};
 use pcqe_engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe_lineage::{CircuitCache, Evaluator, Lineage, Rng64, VarId};
 use pcqe_policy::ConfidencePolicy;
-use pcqe_storage::{Column, DataType, Schema, Value};
+use pcqe_storage::{Column, DataType, Schema, TupleId, Value};
 use std::collections::BTreeMap;
 
 /// Base tuples in the shared pool.
@@ -173,10 +176,10 @@ fn rescoring_sweep(recorder: &pcqe_obs::Recorder) {
     );
 }
 
-/// The paper's Section 3.1 database under a given configuration.
-fn paper_db(circuit_cache: bool) -> Database {
+/// A Section 3.1-shaped database: 12 companies with three low-confidence
+/// proposals each.
+fn paper_db() -> Database {
     let config = EngineConfig {
-        circuit_cache,
         worker_threads: Some(1),
         ..EngineConfig::default()
     };
@@ -231,50 +234,51 @@ const SQL: &str = "SELECT DISTINCT CompanyInfo.company, income \
     WHERE funding < 1000000.0";
 
 /// End-to-end: query once, then preview the proposal repeatedly through
-/// `Database::what_if`, cache on vs off.
+/// `Database::what_if`, checked against the oracle and timed against it.
 fn what_if_sweep(recorder: &pcqe_obs::Recorder) {
     group("confidence_cache/what_if");
+    const BETA: f64 = 0.06;
     let user = User::new("mark", "Manager");
     let request = QueryRequest::new(SQL, "investment");
 
-    // Correctness: responses and previews agree bit for bit.
-    let mut db_on = paper_db(true);
-    let mut db_off = paper_db(false);
-    let a = db_on.query(&user, &request).expect("query");
-    let b = db_off.query(&user, &request).expect("query");
-    assert_eq!(a.released.len(), b.released.len());
-    for (x, y) in a.released.iter().zip(&b.released) {
-        assert_eq!(x.confidence.to_bits(), y.confidence.to_bits());
-    }
-    let proposal = a.proposal.expect("the withheld rows admit a strategy");
-    assert_eq!(Some(&proposal), b.proposal.as_ref());
+    // Correctness: the response and every preview release exactly the
+    // oracle's rows, bit for bit.
+    let mut db = paper_db();
+    let resp = db.query(&user, &request).expect("query");
+    let expected = oracle::released(&db, SQL, BETA, &BTreeMap::new());
+    oracle::assert_matches(&resp, &expected, "query vs oracle");
+    let proposal = resp.proposal.expect("the withheld rows admit a strategy");
+    let overrides: BTreeMap<TupleId, f64> = proposal
+        .increments
+        .iter()
+        .map(|i| (i.tuple_id, i.to))
+        .collect();
+    let expected = oracle::released(&db, SQL, BETA, &overrides);
     for _ in 0..8 {
-        let wa = db_on.what_if(&user, &request, &proposal).expect("preview");
-        let wb = db_off.what_if(&user, &request, &proposal).expect("preview");
-        assert_eq!(wa.released.len(), wb.released.len());
-        for (x, y) in wa.released.iter().zip(&wb.released) {
-            assert_eq!(x.confidence.to_bits(), y.confidence.to_bits());
-        }
+        let preview = db.what_if(&user, &request, &proposal).expect("preview");
+        oracle::assert_matches(&preview, &expected, "what-if vs oracle");
     }
-    let hits = db_on.metrics_snapshot().counter("lineage.cache_hit");
+    let hits = db.metrics_snapshot().counter("lineage.cache_hit");
     assert!(hits > 0, "repeated previews must hit the engine's cache");
     recorder.counter_add("bench.what_if.engine_cache_hits", hits);
 
-    let run = |cached: bool| {
-        let mut db = paper_db(cached);
-        let resp = db.query(&user, &request).expect("query");
-        let proposal = resp.proposal.expect("strategy");
+    // Eight previews per sample on the already-queried engine (the
+    // repeated-probe fast path) against eight oracle previews.
+    let t_engine = bench("what_if/engine", 10, || {
         for _ in 0..8 {
             db.what_if(&user, &request, &proposal).expect("preview");
         }
-    };
-    let t_on = bench("what_if/cache_on", 10, || run(true));
-    let t_off = bench("what_if/cache_off", 10, || run(false));
-    recorder.histogram_record("bench.what_if.on.seconds", t_on.best);
-    recorder.histogram_record("bench.what_if.off.seconds", t_off.best);
-    let speedup = t_off.best / t_on.best.max(1e-12);
+    });
+    let t_oracle = bench("what_if/oracle", 10, || {
+        for _ in 0..8 {
+            oracle::released(&db, SQL, BETA, &overrides);
+        }
+    });
+    recorder.histogram_record("bench.what_if.engine.seconds", t_engine.best);
+    recorder.histogram_record("bench.what_if.oracle.seconds", t_oracle.best);
+    let speedup = t_oracle.best / t_engine.best.max(1e-12);
     recorder.gauge_set("bench.what_if.speedup", speedup);
-    println!("end-to-end what-if previews: {speedup:.2}x with the engine cache");
+    println!("repeated what-if previews: {speedup:.2}x faster than the uncached oracle");
 }
 
 fn main() {

@@ -1,29 +1,42 @@
 //! Physical-planning benchmark: the three performance levers the
 //! logical → physical pipeline adds, each measured against its baseline
-//! and checked for bit-identical answers before timing.
+//! and checked for bit-identical answers before timing. Physical plans
+//! run on the vectorized executor, the engine's only one.
 //!
 //! 1. **Hash join vs nested loop** — both strategies run over the same
 //!    equi-join at growing sizes; the crossover point where hashing wins
 //!    is reported alongside the strategy the cost-based planner picked.
 //! 2. **Index scan vs table scan** — a point-lookup query over a large
 //!    table, planned with and without an equality index on the key.
-//! 3. **β-short-circuit on vs off** — a low-confidence DISTINCT-join
-//!    workload under a policy whose threshold β provably rejects every
-//!    row: with the short-circuit on, exact Shannon expansion is skipped
-//!    for all of them (`lineage.exact_skipped`), and the released and
-//!    withheld sets are identical either way.
+//! 3. **β-gated vs ungated cached scoring** — a low-confidence
+//!    DISTINCT-join workload under a policy whose threshold β provably
+//!    rejects every row: the engine skips exact Shannon expansion for all
+//!    of them (`lineage.exact_skipped`) and releases exactly what the
+//!    logical oracle releases; the gated scorer is then timed against
+//!    ungated cached scoring of the same result set.
 //!
 //! Like the figure benches, the run emits a JSON document — here the
 //! `pcqe-obs` metrics export, validated in CI by `pcqe-obs-validate` —
 //! to the path given as the first argument (default
 //! `results/physical_planning.json`).
 
-use pcqe_algebra::{execute, execute_physical, lower, optimize, PhysicalPlan, Plan, ScalarExpr};
+use pcqe_algebra::{
+    execute, execute_vectorized_with, lower, optimize, PhysicalPlan, Plan, ResultSet, ScalarExpr,
+};
+use pcqe_bench::oracle;
 use pcqe_bench::timing::{bench, group};
 use pcqe_engine::{Database, EngineConfig, QueryRequest, User};
-use pcqe_lineage::Rng64;
+use pcqe_lineage::{CircuitCache, Evaluator, Rng64};
+use pcqe_par::Parallelism;
 use pcqe_policy::ConfidencePolicy;
-use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
+use pcqe_sql::parse_and_plan;
+use pcqe_storage::{Catalog, Column, DataType, Schema, TupleId, Value};
+use std::collections::BTreeMap;
+
+/// Execute a physical plan sequentially on the vectorized executor.
+fn run(plan: &PhysicalPlan, catalog: &Catalog) -> ResultSet {
+    execute_vectorized_with(plan, catalog, &Parallelism::sequential()).expect("executes")
+}
 
 /// Two `n`-row tables keyed so every left row matches exactly one right
 /// row, with deterministic confidences.
@@ -85,16 +98,14 @@ fn join_crossover(recorder: &pcqe_obs::Recorder) {
             right: Box::new(scan("r")),
             predicate: Some(ScalarExpr::column(0).eq(ScalarExpr::column(2))),
         };
-        let a = execute_physical(&hash, &catalog).expect("hash join");
-        let b = execute_physical(&nl, &catalog).expect("nested loop");
-        assert_same(&a, &b, "hash vs nested loop");
+        assert_same(
+            &run(&hash, &catalog),
+            &run(&nl, &catalog),
+            "hash vs nested loop",
+        );
 
-        let t_hash = bench(&format!("join/hash/n{n}"), 10, || {
-            execute_physical(&hash, &catalog).expect("hash join")
-        });
-        let t_nl = bench(&format!("join/nested_loop/n{n}"), 10, || {
-            execute_physical(&nl, &catalog).expect("nested loop")
-        });
+        let t_hash = bench(&format!("join/hash/n{n}"), 10, || run(&hash, &catalog));
+        let t_nl = bench(&format!("join/nested_loop/n{n}"), 10, || run(&nl, &catalog));
         recorder.histogram_record(&format!("bench.join.hash.n{n}.seconds"), t_hash.best);
         recorder.histogram_record(&format!("bench.join.nested_loop.n{n}.seconds"), t_nl.best);
         if crossover.is_none() && t_hash.best < t_nl.best {
@@ -154,19 +165,15 @@ fn index_vs_table_scan(recorder: &pcqe_obs::Recorder) {
     let index_plan = lower(&logical, &indexed).expect("lower");
     assert!(table_plan.to_string().contains("TableScan"), "{table_plan}");
     assert!(index_plan.to_string().contains("IndexScan"), "{index_plan}");
-    let a = execute_physical(&table_plan, &plain).expect("table scan");
-    let b = execute_physical(&index_plan, &indexed).expect("index scan");
+    let a = run(&table_plan, &plain);
+    let b = run(&index_plan, &indexed);
     assert_same(&a, &b, "index vs table scan");
     // And both agree with the logical executor.
     let c = execute(&logical, &plain).expect("logical");
     assert_same(&a, &c, "physical vs logical");
 
-    let t_table = bench("scan/table/point_lookup", 20, || {
-        execute_physical(&table_plan, &plain).expect("table scan")
-    });
-    let t_index = bench("scan/index/point_lookup", 20, || {
-        execute_physical(&index_plan, &indexed).expect("index scan")
-    });
+    let t_table = bench("scan/table/point_lookup", 20, || run(&table_plan, &plain));
+    let t_index = bench("scan/index/point_lookup", 20, || run(&index_plan, &indexed));
     recorder.histogram_record("bench.scan.table.seconds", t_table.best);
     recorder.histogram_record("bench.scan.index.seconds", t_index.best);
     let speedup = t_table.best / t_index.best.max(1e-12);
@@ -187,11 +194,10 @@ fn catalog_insert(catalog: &mut Catalog, i: u64, confidence: f64) {
 /// A low-confidence workload under a policy threshold β that provably
 /// rejects every result: group `g`'s lineage is an OR over 16 AND-pairs
 /// of 0.001-confidence tuples, so its union bound (16 × 0.001 = 0.016)
-/// stays at or below β = 0.05 and the short-circuit skips every exact
-/// Shannon expansion without changing what is released.
-fn beta_database(beta_short_circuit: bool) -> Database {
+/// stays at or below β = 0.05 and the gate skips every exact Shannon
+/// expansion without changing what is released.
+fn beta_database() -> Database {
     let config = EngineConfig {
-        beta_short_circuit,
         worker_threads: Some(1),
         ..EngineConfig::default()
     };
@@ -232,50 +238,59 @@ fn beta_database(beta_short_circuit: bool) -> Database {
     db
 }
 
-fn beta_short_circuit(recorder: &pcqe_obs::Recorder) {
-    group("physical_planning/beta_short_circuit");
+/// A fresh circuit cache holding the current confidence of every base
+/// tuple the result set reads (what the engine syncs before scoring).
+fn synced_cache(rows: &ResultSet, catalog: &Catalog) -> CircuitCache {
+    let mut cache = CircuitCache::new();
+    for row in rows.rows() {
+        for v in row.lineage.vars() {
+            if let Some(p) = catalog.confidence(TupleId(v.0)) {
+                cache.set_prob(v, p);
+            }
+        }
+    }
+    cache
+}
+
+fn beta_gate(recorder: &pcqe_obs::Recorder) {
+    group("physical_planning/beta_gate");
     const SQL: &str = "SELECT DISTINCT g FROM a JOIN b ON a.x = b.x";
+    const BETA: f64 = 0.05;
     let user = User::new("ann", "analyst");
     let request = QueryRequest::new(SQL, "report").expecting(0.0);
 
-    let run = |gated: bool| {
-        let mut db = beta_database(gated);
-        let resp = db.query(&user, &request).expect("query");
-        (resp, db.metrics_snapshot())
-    };
-    let (gated, gated_metrics) = run(true);
-    let (exact, _) = run(false);
-    assert_eq!(
-        gated.released.len(),
-        exact.released.len(),
-        "released set must not depend on the short-circuit"
-    );
-    for (a, b) in gated.released.iter().zip(&exact.released) {
-        assert_eq!(a.tuple, b.tuple);
-        assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
-    }
-    assert_eq!(gated.withheld, exact.withheld, "withheld count");
-    let skipped = gated_metrics.counter("lineage.exact_skipped");
+    let mut db = beta_database();
+    let resp = db.query(&user, &request).expect("query");
+    let expected = oracle::released(&db, SQL, BETA, &BTreeMap::new());
+    oracle::assert_matches(&resp, &expected, "β-gated engine vs oracle");
+    let skipped = db.metrics_snapshot().counter("lineage.exact_skipped");
     assert!(skipped > 0, "low-β workload must skip exact evaluations");
     println!(
         "exact evaluations skipped: {skipped} (of {} rows)",
-        gated.withheld
+        resp.withheld
     );
     recorder.counter_add("bench.beta.exact_skipped", skipped);
 
-    let t_on = bench("beta_short_circuit/on", 10, || {
-        let mut db = beta_database(true);
-        db.query(&user, &request).expect("query")
+    // Time the two cached scorers over the same executed result set,
+    // each from a fresh cache so neither sees the other's memos.
+    let catalog = db.catalog();
+    let plan = optimize(&parse_and_plan(SQL, catalog).expect("plans"), catalog).expect("optimises");
+    let rows = run(&lower(&plan, catalog).expect("lowers"), catalog);
+    let ev = Evaluator::default();
+    let t_gated = bench("beta_gate/gated", 10, || {
+        let mut cache = synced_cache(&rows, catalog);
+        rows.score_gated_cached_morsels_traced(&mut cache, &ev, BETA, None, None)
+            .expect("scores")
     });
-    let t_off = bench("beta_short_circuit/off", 10, || {
-        let mut db = beta_database(false);
-        db.query(&user, &request).expect("query")
+    let t_ungated = bench("beta_gate/ungated", 10, || {
+        let mut cache = synced_cache(&rows, catalog);
+        rows.score_cached(&mut cache, &ev).expect("scores")
     });
-    recorder.histogram_record("bench.beta.on.seconds", t_on.best);
-    recorder.histogram_record("bench.beta.off.seconds", t_off.best);
-    let speedup = t_off.best / t_on.best.max(1e-12);
+    recorder.histogram_record("bench.beta.gated.seconds", t_gated.best);
+    recorder.histogram_record("bench.beta.ungated.seconds", t_ungated.best);
+    let speedup = t_ungated.best / t_gated.best.max(1e-12);
     recorder.gauge_set("bench.beta.speedup", speedup);
-    println!("β-short-circuit speedup: {speedup:.2}x");
+    println!("β-gated scoring speedup over ungated cached scoring: {speedup:.2}x");
 }
 
 fn main() {
@@ -286,7 +301,7 @@ fn main() {
 
     join_crossover(&recorder);
     index_vs_table_scan(&recorder);
-    beta_short_circuit(&recorder);
+    beta_gate(&recorder);
 
     let json = pcqe_obs::export::to_json(&recorder.snapshot());
     let path = std::path::Path::new(&out);

@@ -1,12 +1,13 @@
 //! Vectorized-execution benchmark: the morsel-driven columnar executor
-//! measured against the tuple-at-a-time physical executor on scan-heavy,
-//! join and aggregation workloads, at 1, 2 and 4 worker threads —
-//! checked for bit-identical results before timing.
+//! measured against the logical tree-walker (the equivalence oracle,
+//! tuple-at-a-time over the same optimised plan) on scan-heavy, join and
+//! aggregation workloads, at 1, 2 and 4 worker threads — checked for
+//! bit-identical results before timing.
 //!
 //! The headline number is the scan workload: the vectorized table scan
 //! fuses its residual predicate over *borrowed* stored rows and only
-//! materialises survivors into columnar batches, where the tuple
-//! executor clones every row first and filters afterwards. On a
+//! materialises survivors into columnar batches, where the logical
+//! walker clones every row first and filters afterwards. On a
 //! selective predicate over wide rows that asymmetry alone is worth
 //! several-fold, independent of core count — which is what makes the
 //! speedup contract enforceable on a single-core CI runner. The
@@ -18,9 +19,7 @@
 //! it against `results/baseline_vectorized.json` with
 //! `pcqe-obs-validate --gate`.
 
-use pcqe_algebra::{
-    execute_physical_with, execute_vectorized_with, lower, optimize, PhysicalPlan, ResultSet,
-};
+use pcqe_algebra::{execute_vectorized_with, execute_with, lower, optimize, Plan, ResultSet};
 use pcqe_bench::timing::{bench, group};
 use pcqe_lineage::Rng64;
 use pcqe_par::Parallelism;
@@ -95,10 +94,11 @@ fn build_catalog() -> Catalog {
     c
 }
 
-fn physical(sql: &str, catalog: &Catalog) -> PhysicalPlan {
+/// The optimised logical plan the oracle walks and the vectorized
+/// executor runs once lowered.
+fn logical(sql: &str, catalog: &Catalog) -> Plan {
     let plan = parse_and_plan(sql, catalog).expect("plans");
-    let logical = optimize(&plan, catalog).expect("optimises");
-    lower(&logical, catalog).expect("lowers")
+    optimize(&plan, catalog).expect("optimises")
 }
 
 fn threads(n: usize) -> Parallelism {
@@ -108,7 +108,7 @@ fn threads(n: usize) -> Parallelism {
     }
 }
 
-/// Bit-identity: rows, order and lineage must match the tuple executor
+/// Bit-identity: rows, order and lineage must match the logical oracle
 /// exactly (DerivedTuple equality covers values and lineage terms).
 fn assert_identical(a: &ResultSet, b: &ResultSet, label: &str) {
     assert_eq!(
@@ -129,11 +129,12 @@ fn main() {
     let catalog = build_catalog();
 
     // Correctness before timing: the vectorized executor must be
-    // bit-identical to tuple-at-a-time on every workload at every
+    // bit-identical to the logical oracle on every workload at every
     // thread count in the sweep.
     for &(name, sql) in WORKLOADS {
-        let phys = physical(sql, &catalog);
-        let reference = execute_physical_with(&phys, &catalog, &threads(1)).expect("tuple");
+        let plan = logical(sql, &catalog);
+        let phys = lower(&plan, &catalog).expect("lowers");
+        let reference = execute_with(&plan, &catalog, &threads(1)).expect("logical");
         assert!(
             !reference.rows().is_empty(),
             "{name}: workload must produce rows to be meaningful"
@@ -148,32 +149,33 @@ fn main() {
         );
     }
 
-    // The timed sweep: each workload, tuple vs vectorized, across the
+    // The timed sweep: each workload, logical vs vectorized, across the
     // thread curve. `best` of 10 keeps the numbers stable on a noisy
     // shared runner.
     let mut scan_speedup_t4 = 0.0f64;
     for &(name, sql) in WORKLOADS {
         group(&format!("vectorized_exec/{name}"));
-        let phys = physical(sql, &catalog);
+        let plan = logical(sql, &catalog);
+        let phys = lower(&plan, &catalog).expect("lowers");
         for t in [1usize, 2, 4] {
             let par = threads(t);
-            let tuple = bench(&format!("{name}/tuple/t{t}"), 10, || {
-                execute_physical_with(&phys, &catalog, &par).expect("tuple")
+            let walker = bench(&format!("{name}/logical/t{t}"), 10, || {
+                execute_with(&plan, &catalog, &par).expect("logical")
             });
             let vector = bench(&format!("{name}/vectorized/t{t}"), 10, || {
                 execute_vectorized_with(&phys, &catalog, &par).expect("vectorized")
             });
             recorder.histogram_record(
-                &format!("bench.vectorized.{name}.tuple.t{t}.seconds"),
-                tuple.best,
+                &format!("bench.vectorized.{name}.logical.t{t}.seconds"),
+                walker.best,
             );
             recorder.histogram_record(
                 &format!("bench.vectorized.{name}.t{t}.seconds"),
                 vector.best,
             );
-            let speedup = tuple.best / vector.best.max(1e-12);
+            let speedup = walker.best / vector.best.max(1e-12);
             recorder.gauge_set(&format!("bench.vectorized.{name}.speedup.t{t}"), speedup);
-            println!("  {name} @ {t} thread(s): {speedup:.2}x vectorized vs tuple");
+            println!("  {name} @ {t} thread(s): {speedup:.2}x vectorized vs logical");
             if name == "scan" && t == 4 {
                 scan_speedup_t4 = speedup;
             }
@@ -181,8 +183,8 @@ fn main() {
     }
 
     // The contract the CI gate pins: ≥2x end-to-end on the scan-heavy
-    // workload at 4 threads, vectorized vs tuple at the same thread
-    // count (so the bar holds even on a single-core runner, where the
+    // workload at 4 threads, vectorized vs the logical walker at the same
+    // thread count (so the bar holds even on a single-core runner, where the
     // win is scan fusion rather than parallel speedup).
     recorder.gauge_set("bench.vectorized.speedup", scan_speedup_t4);
     assert!(

@@ -4,7 +4,8 @@
 //! The [`experiments`] module exposes one runner per figure; the
 //! `figures` binary drives them and prints the same rows/series the paper
 //! reports, and the std-only timing benches in `benches/` (see
-//! [`timing`]) measure the same code paths.
+//! [`timing`]) measure the same code paths. The engine benches check
+//! their answers against the logical [`oracle`] before timing.
 //!
 //! Absolute numbers will not match a 2009 Core 2 Duo; the *shapes* are
 //! what this harness reproduces: which algorithm wins at which scale, the
@@ -12,6 +13,7 @@
 //! greedy variants and the exact optimum.
 
 pub mod experiments;
+pub mod oracle;
 pub mod report;
 pub mod timing;
 

@@ -391,4 +391,78 @@ mod tests {
         let p = b.require(1).build().unwrap();
         assert!((p.results[0].conf.eval(&[0.3, 0.4]) - 0.35).abs() < 1e-12);
     }
+
+    /// A random negation-free lineage over variables `0..vars`.
+    fn positive_lineage(rng: &mut pcqe_lineage::Rng64, vars: u64, depth: u32) -> Lineage {
+        if depth == 0 || rng.below_u64(4) == 0 {
+            return Lineage::var(rng.below_u64(vars));
+        }
+        let children = (0..rng.range_usize(1, 4))
+            .map(|_| positive_lineage(rng, vars, depth - 1))
+            .collect();
+        if rng.chance(0.5) {
+            Lineage::and(children)
+        } else {
+            Lineage::or(children)
+        }
+    }
+
+    /// Building result circuits through a shared circuit pool gives the
+    /// same problem as compiling each one fresh — from a cold pool and
+    /// from a warm one that already holds every circuit: bit-identical
+    /// confidence at every δ-grid level and the same greedy solution.
+    #[test]
+    fn cached_builder_matches_plain_builder() {
+        use crate::greedy::{self, GreedyOptions};
+        use pcqe_lineage::{CircuitCache, Rng64};
+        for case in 0..64u64 {
+            let mut rng = Rng64::seed_from_u64(0x00C0_CA5E ^ case.wrapping_mul(0x9E37_79B9));
+            let vars = rng.range_usize(1, 13) as u64;
+            let initial: Vec<f64> = (0..vars).map(|_| rng.range_f64(0.05, 0.6)).collect();
+            let lineages: Vec<Lineage> = (0..rng.range_usize(1, 7))
+                .map(|_| positive_lineage(&mut rng, vars, 3))
+                .collect();
+            let required = rng.range_usize(1, lineages.len() + 1);
+            let builder = || {
+                let mut b = ProblemBuilder::new(0.5, 0.1);
+                for (v, &p) in initial.iter().enumerate() {
+                    b.base(v as u64, p, CostFn::linear(1.0 + v as f64).unwrap());
+                }
+                b
+            };
+            let mut plain = builder();
+            for l in &lineages {
+                plain.result_from_lineage(l).unwrap();
+            }
+            let plain = plain.require(required).build().unwrap();
+            let expected = greedy::solve(&plain, &GreedyOptions::default())
+                .unwrap()
+                .solution;
+            let mut cache = CircuitCache::new();
+            for pass in ["cold", "warm"] {
+                let mut cached = builder();
+                for l in &lineages {
+                    cached.result_from_lineage_cached(l, &mut cache).unwrap();
+                }
+                let cached = cached.require(required).build().unwrap();
+                let context = format!("case {case}, {pass} pool");
+                for (a, b) in plain.results.iter().zip(&cached.results) {
+                    assert_eq!(a.bases, b.bases, "{context}");
+                    for step in 0..=10 {
+                        let probs: Vec<f64> =
+                            a.bases.iter().map(|&i| plain.level_at(i, step)).collect();
+                        assert_eq!(
+                            a.conf.eval(&probs).to_bits(),
+                            b.conf.eval(&probs).to_bits(),
+                            "{context}, step {step}"
+                        );
+                    }
+                }
+                let solution = greedy::solve(&cached, &GreedyOptions::default())
+                    .unwrap()
+                    .solution;
+                assert_eq!(solution, expected, "{context}");
+            }
+        }
+    }
 }

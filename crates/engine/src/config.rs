@@ -23,6 +23,14 @@ pub enum SolverChoice {
 }
 
 /// Engine-wide configuration.
+///
+/// Every query takes the same path regardless of configuration: the
+/// plan is optimised, lowered to a physical plan and run on the
+/// vectorized executor, and results are scored through the query-scoped
+/// circuit cache with the β-gate on (DESIGN.md §10, §12). The settings
+/// below change answers (δ, evaluator, costs, solver, lineage budget) or
+/// only speed and telemetry (threads, threshold, metrics) — never which
+/// rows a policy sees.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Confidence-increment granularity δ (Table 4 default: 0.1).
@@ -35,23 +43,6 @@ pub struct EngineConfig {
     pub solver: SolverChoice,
     /// Shannon budget when compiling lineage into the strategy problem.
     pub lineage_budget: usize,
-    /// Run the logical optimiser (predicate pushdown, product→join
-    /// conversion) on every query plan.
-    pub optimize_plans: bool,
-    /// Lower every query to a physical plan (index scans, cost-chosen
-    /// hash vs nested-loop joins) before executing. Physical execution is
-    /// bit-identical to logical execution for every query — the planner
-    /// only changes *how* rows are produced, never which rows — so this
-    /// flag is a pure performance switch.
-    pub physical_planning: bool,
-    /// Skip exact confidence computation (Shannon expansion / Monte
-    /// Carlo) for result rows whose cheap monotone upper bound already
-    /// proves they fall at or below the policy threshold β. The
-    /// released-tuple set, audit entries, and policy counters are
-    /// provably identical with this on or off; rows that later feed the
-    /// strategy-finding (θ) path are re-scored exactly first, so
-    /// improvement proposals are also unchanged.
-    pub beta_short_circuit: bool,
     /// Worker threads for plan execution, result scoring and solver
     /// rescans. `None` uses every available core; `Some(1)` reproduces
     /// the sequential engine bit-for-bit (any setting produces identical
@@ -65,25 +56,6 @@ pub struct EngineConfig {
     /// query answers, proposals and audit entries are bit-identical with
     /// recording on or off, at any thread count — metrics only observe.
     pub record_metrics: bool,
-    /// Execute physical plans on the vectorized, morsel-driven columnar
-    /// path ([`pcqe_algebra::execute_vectorized_with`]): scans fuse their
-    /// residual predicates before materialising, data moves as columnar
-    /// batches, and hash-join builds are hash-partitioned with
-    /// NDV-capped partition counts. Only takes effect together with
-    /// [`EngineConfig::physical_planning`]. The vectorized executor is
-    /// bit-identical to the tuple-at-a-time one — same rows, same order,
-    /// same lineage, same confidences, at any thread count — so this
-    /// flag is a pure performance switch (see DESIGN.md §12).
-    pub vectorized_execution: bool,
-    /// Score result confidences through the query-scoped
-    /// [`pcqe_lineage::CircuitCache`]: compiled circuits are hash-consed
-    /// into a shared pool, subcircuit probabilities are memoized, and a
-    /// what-if/θ probe that changes one base tuple's confidence
-    /// re-evaluates only the circuits whose var-set intersects it.
-    /// Bit-identical to uncached scoring — released sets, confidences,
-    /// audit entries and proposals are unchanged — so this flag is a pure
-    /// performance switch (see DESIGN.md §10).
-    pub circuit_cache: bool,
 }
 
 impl Default for EngineConfig {
@@ -94,14 +66,9 @@ impl Default for EngineConfig {
             default_cost: CostFn::linear(100.0).expect("constant is valid"),
             solver: SolverChoice::Auto,
             lineage_budget: 4096,
-            optimize_plans: true,
-            physical_planning: true,
-            vectorized_execution: true,
-            beta_short_circuit: true,
             worker_threads: None,
             parallel_threshold: pcqe_par::DEFAULT_PARALLEL_THRESHOLD,
             record_metrics: true,
-            circuit_cache: true,
         }
     }
 }

@@ -5,11 +5,7 @@ use crate::error::EngineError;
 use crate::improve::{self, ProposeOutcome};
 use crate::response::{NoProposal, QueryResponse, ReleasedTuple};
 use crate::Result;
-use pcqe_algebra::{
-    execute_physical_profiled, execute_physical_traced, execute_physical_with, execute_profiled,
-    execute_traced, execute_vectorized_profiled, execute_vectorized_traced,
-    execute_vectorized_with, execute_with, ExecProfile,
-};
+use pcqe_algebra::{execute_vectorized_traced, execute_vectorized_with, ExecProfile};
 use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_core::estimator::RuntimeEstimator;
 use pcqe_cost::CostFn;
@@ -96,10 +92,10 @@ pub struct Database {
     /// timings never drift apart.
     tracer: Arc<pcqe_obs::Tracer>,
     version: u64,
-    /// Query-scoped circuit pool (see [`EngineConfig::circuit_cache`]).
-    /// Probabilities are re-synced from the catalog (or what-if overrides)
-    /// before every cached scoring pass, so the pool survives across
-    /// queries and `apply` calls without going stale.
+    /// Query-scoped circuit pool every scoring pass and strategy problem
+    /// runs through (DESIGN.md §10). Probabilities are re-synced from the
+    /// catalog (or what-if overrides) before every scoring pass, so the
+    /// pool survives across queries and `apply` calls without going stale.
     cache: pcqe_lineage::CircuitCache,
 }
 
@@ -374,8 +370,8 @@ impl Database {
         }
     }
 
-    /// Render the (optimised, when enabled) plan for a query — an
-    /// `EXPLAIN` facility for debugging and teaching.
+    /// Render the optimised logical plan for a query — an `EXPLAIN`
+    /// facility for debugging and teaching.
     pub fn explain(&self, sql: &str) -> Result<String> {
         Ok(self.plan_sql(sql)?.to_string())
     }
@@ -390,52 +386,41 @@ impl Database {
         Ok(pcqe_algebra::render_side_by_side(&plan, &phys))
     }
 
-    /// Execute a query and render its plan annotated with observed
-    /// per-operator `rows_in` / `rows_out` / `lineage_nodes` counts — an
-    /// `EXPLAIN ANALYZE` facility. Runs the plan for real (read-only) but
-    /// skips scoring and policy checking. With
-    /// [`EngineConfig::physical_planning`] enabled (the default) the
-    /// annotated operators are the *physical* ones, so index-scan savings
-    /// and join-strategy fan-out are directly visible.
+    /// Execute a query and render its physical plan annotated with
+    /// observed per-operator `rows_in` / `rows_out` / `lineage_nodes` /
+    /// `batches` counts — an `EXPLAIN ANALYZE` facility. Runs the plan for
+    /// real (read-only) but skips scoring and policy checking, so
+    /// index-scan savings and join-strategy fan-out are directly visible.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
+        let phys = pcqe_algebra::lower(&self.plan_sql(sql)?, &self.catalog)?;
         let par = self.config.parallelism();
-        let plan = self.plan_sql(sql)?;
-        if self.config.physical_planning {
-            let phys = pcqe_algebra::lower(&plan, &self.catalog)?;
-            let (_result, profile) = if self.config.vectorized_execution {
-                execute_vectorized_profiled(&phys, &self.catalog, &par, None)?
-            } else {
-                execute_physical_profiled(&phys, &self.catalog, &par, None)?
-            };
-            Ok(profile.render())
-        } else {
-            let (_result, profile) = execute_profiled(&plan, &self.catalog, &par, None)?;
-            Ok(profile.render())
-        }
+        let (_result, profile) = execute_vectorized_traced(&phys, &self.catalog, &par, None, None)?;
+        Ok(profile.render())
     }
 
-    /// Parse and plan a SQL query, running the optimiser when enabled.
+    /// Parse, plan and optimise a SQL query.
     fn plan_sql(&self, sql: &str) -> Result<pcqe_algebra::Plan> {
         let plan = parse_and_plan(sql, &self.catalog)?;
-        if self.config.optimize_plans {
-            Ok(pcqe_algebra::optimize(&plan, &self.catalog)?)
-        } else {
-            Ok(plan)
-        }
+        Ok(pcqe_algebra::optimize(&plan, &self.catalog)?)
     }
 
-    /// Execute a planned query — physically when
-    /// [`EngineConfig::physical_planning`] is set — recording an execution
-    /// profile when metrics are on. The two paths produce bit-identical
-    /// result sets for every query (see [`pcqe_algebra::physical`]), so
-    /// the flag never changes which tuples a policy sees.
+    /// Lower a planned query and run it on the vectorized executor,
+    /// recording an execution profile when metrics are on and feeding
+    /// the tracer when it is enabled. Lowering and vectorized execution
+    /// are bit-identical to the logical tree-walker for every query (see
+    /// [`pcqe_algebra::physical`]), so they never change which tuples a
+    /// policy sees.
     fn run_plan(
         &self,
         plan: &pcqe_algebra::Plan,
         par: &pcqe_par::Parallelism,
         recording: bool,
     ) -> Result<pcqe_algebra::ResultSet> {
+        let phys = pcqe_algebra::lower(plan, &self.catalog)?;
         let tracing = self.tracer.is_enabled();
+        if !recording && !tracing {
+            return Ok(execute_vectorized_with(&phys, &self.catalog, par)?);
+        }
         let trace: Option<&dyn TraceSink> = if tracing {
             Some(self.tracer.as_ref())
         } else {
@@ -445,41 +430,18 @@ impl Database {
         // recorder keeps its metrics (it no-ops when disabled) and the
         // tracer records per-batch worker-lane events.
         let pair;
-        let observer: Option<&dyn ParObserver> = if tracing {
+        let observer: &dyn ParObserver = if tracing {
             pair = pcqe_obs::trace::ObserverPair::new(&self.recorder, self.tracer.as_ref());
-            Some(&pair)
-        } else if recording {
-            Some(&self.recorder)
+            &pair
         } else {
-            None
+            &self.recorder
         };
-        if self.config.physical_planning {
-            let phys = pcqe_algebra::lower(plan, &self.catalog)?;
-            let vectorized = self.config.vectorized_execution;
-            if recording || tracing {
-                let (result_set, profile) = if vectorized {
-                    execute_vectorized_traced(&phys, &self.catalog, par, observer, trace)?
-                } else {
-                    execute_physical_traced(&phys, &self.catalog, par, observer, trace)?
-                };
-                if recording {
-                    self.record_exec_profile(&profile);
-                }
-                Ok(result_set)
-            } else if vectorized {
-                Ok(execute_vectorized_with(&phys, &self.catalog, par)?)
-            } else {
-                Ok(execute_physical_with(&phys, &self.catalog, par)?)
-            }
-        } else if recording || tracing {
-            let (result_set, profile) = execute_traced(plan, &self.catalog, par, observer, trace)?;
-            if recording {
-                self.record_exec_profile(&profile);
-            }
-            Ok(result_set)
-        } else {
-            Ok(execute_with(plan, &self.catalog, par)?)
+        let (result_set, profile) =
+            execute_vectorized_traced(&phys, &self.catalog, par, Some(observer), trace)?;
+        if recording {
+            self.record_exec_profile(&profile);
         }
+        Ok(result_set)
     }
 
     /// Run the full pipeline: evaluate, score, policy-check, and — when
@@ -524,89 +486,33 @@ impl Database {
         } else {
             None
         };
-        // β-aware short-circuit: rows whose confidence upper bound is
+        // β-gated cached scoring: rows whose confidence upper bound is
         // already ≤ β are withheld without exact Shannon/Monte-Carlo
-        // evaluation. `skipped` remembers which rows carry a bound so the
-        // strategy-finding path below can restore exact values first.
-        // `paths` tags every row with how its gate-facing confidence was
-        // obtained — the causal record behind each trace `Decision`.
-        let use_cache = self.config.circuit_cache;
+        // evaluation, and every other row is scored through the shared
+        // circuit pool in one sequential memoized pass — bit-identical to
+        // uncached scoring at any thread count (DESIGN.md §10). `skipped`
+        // remembers which rows carry a bound so the strategy-finding path
+        // below can restore exact values first. `paths` tags every row
+        // with how its gate-facing confidence was obtained — the causal
+        // record behind each trace `Decision`. The pass is chunked by
+        // morsel so scheduler telemetry (`par.batch`) covers scoring too.
         let (mut scored, skipped, paths) = {
             let _score_span = span.child("score");
             let t_score = self.tracer.span_begin("score");
-            let out = if use_cache {
-                // Cached scoring: one sequential memoized pass over the
-                // shared circuit pool, bit-identical to the parallel
-                // uncached pass at any thread count (DESIGN.md §10).
-                sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
-                if self.config.beta_short_circuit {
-                    // With vectorized execution the scoring pass is chunked
-                    // by morsel so scheduler telemetry (`par.batch`) covers
-                    // scoring too; the scored values are bit-identical.
-                    let (gated, paths) =
-                        if self.config.vectorized_execution && self.config.physical_planning {
-                            result_set.score_gated_cached_morsels_traced(
-                                &mut self.cache,
-                                &self.config.evaluator,
-                                policy.threshold,
-                                observer,
-                                trace_sink,
-                            )?
-                        } else {
-                            result_set.score_gated_cached_traced(
-                                &mut self.cache,
-                                &self.config.evaluator,
-                                policy.threshold,
-                                trace_sink,
-                            )?
-                        };
-                    if recording {
-                        self.recorder
-                            .counter_add("lineage.exact_skipped", gated.exact_skipped as u64);
-                    }
-                    (gated.scored, Some(gated.skipped), paths)
-                } else {
-                    let (scored, paths) =
-                        result_set.score_cached_traced(&mut self.cache, &self.config.evaluator)?;
-                    (scored, None, paths)
-                }
-            } else if self.config.beta_short_circuit {
-                let gated = result_set.score_gated_traced(
-                    &probs,
-                    &self.config.evaluator,
-                    policy.threshold,
-                    &par,
-                    observer,
-                    trace_sink,
-                )?;
-                if recording {
-                    self.recorder
-                        .counter_add("lineage.exact_skipped", gated.exact_skipped as u64);
-                }
-                let paths: Vec<ConfidencePath> = gated
-                    .skipped
-                    .iter()
-                    .map(|&s| {
-                        if s {
-                            ConfidencePath::BetaSkipped
-                        } else {
-                            ConfidencePath::Exact
-                        }
-                    })
-                    .collect();
-                (gated.scored, Some(gated.skipped), paths)
-            } else {
-                let scored = result_set.score_par_observed(
-                    &probs,
-                    &self.config.evaluator,
-                    &par,
-                    observer,
-                )?;
-                let paths = vec![ConfidencePath::Exact; scored.len()];
-                (scored, None, paths)
-            };
+            sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
+            let (gated, paths) = result_set.score_gated_cached_morsels_traced(
+                &mut self.cache,
+                &self.config.evaluator,
+                policy.threshold,
+                observer,
+                trace_sink,
+            )?;
+            if recording {
+                self.recorder
+                    .counter_add("lineage.exact_skipped", gated.exact_skipped as u64);
+            }
             self.tracer.span_end(t_score);
-            out
+            (gated.scored, gated.skipped, paths)
         };
 
         let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
@@ -662,30 +568,17 @@ impl Database {
         // so any short-circuited rows are re-scored first. (Released rows
         // are never skipped — a skipped row's bound is ≤ β, which can
         // never admit — so only withheld rows are touched here.)
-        if let Some(skipped) = &skipped {
-            let rescored = if use_cache {
-                // Probabilities were synced before gating and nothing has
-                // changed them since, so the memoized exact values are
-                // still current.
-                pcqe_algebra::ResultSet::rescore_exact_cached(
-                    &mut scored,
-                    skipped,
-                    &mut self.cache,
-                    &self.config.evaluator,
-                )?
-            } else {
-                pcqe_algebra::ResultSet::rescore_exact(
-                    &mut scored,
-                    skipped,
-                    &probs,
-                    &self.config.evaluator,
-                    &par,
-                )?
-            };
-            if recording {
-                self.recorder
-                    .counter_add("lineage.exact_rescored", rescored as u64);
-            }
+        // Probabilities were synced before gating and nothing has changed
+        // them since, so the memoized exact values are still current.
+        let rescored = pcqe_algebra::ResultSet::rescore_exact_cached(
+            &mut scored,
+            &skipped,
+            &mut self.cache,
+            &self.config.evaluator,
+        )?;
+        if recording {
+            self.recorder
+                .counter_add("lineage.exact_rescored", rescored as u64);
         }
         let withheld = withheld_tuples(&scored, &decision.withheld);
         let needed = requested - response.released.len();
@@ -702,8 +595,7 @@ impl Database {
         let (outcome, stats) = {
             let _propose_span = span.child("propose");
             let t_propose = self.tracer.span_begin("propose");
-            let cache = use_cache.then_some(&mut self.cache);
-            let out = improve::propose(&ctx, &withheld, &self.recorder, cache)?;
+            let out = improve::propose(&ctx, &withheld, &self.recorder, &mut self.cache)?;
             self.tracer.span_end(t_propose);
             out
         };
@@ -756,20 +648,27 @@ impl Database {
     /// strategy is computed over the union of their base tuples so that
     /// every query's requested fraction is met at once — shared tuples
     /// are paid for once.
+    ///
+    /// The batch is all-or-nothing for the audit trail: every request's
+    /// policy is selected before any of them is evaluated, and the
+    /// per-query audit entries (and their metric mirrors) are pushed only
+    /// once the whole batch has succeeded, so a failing request leaves no
+    /// entries behind.
     pub fn query_batch(
         &mut self,
         user: &User,
         requests: &[QueryRequest],
     ) -> Result<crate::response::BatchResponse> {
-        use pcqe_core::greedy::GreedyOptions;
-        use pcqe_core::multi::{solve_greedy, MultiQueryProblem};
-
         let par = self.config.parallelism();
         let recording = self.recording();
+        let policies = requests
+            .iter()
+            .map(|r| Ok(self.policies.select(&user.role, &r.purpose)?.clone()))
+            .collect::<Result<Vec<ConfidencePolicy>>>()?;
         let mut responses = Vec::with_capacity(requests.len());
         let mut instances = Vec::new();
         let mut non_monotone = false;
-        for request in requests {
+        for (request, policy) in requests.iter().zip(&policies) {
             // Evaluate without per-query proposals (done jointly below).
             // Scoring stays exact here: every withheld row may feed the
             // combined improvement instance, so β-gating would only add a
@@ -777,28 +676,15 @@ impl Database {
             let plan = self.plan_sql(&request.sql)?;
             let result_set = self.run_plan(&plan, &par, recording)?;
             let probs = |v: pcqe_lineage::VarId| self.catalog.confidence(TupleId(v.0));
-            let scored = if self.config.circuit_cache {
-                sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
-                result_set.score_cached(&mut self.cache, &self.config.evaluator)?
-            } else if recording {
-                result_set.score_par_observed(
-                    &probs,
-                    &self.config.evaluator,
-                    &par,
-                    Some(&self.recorder),
-                )?
-            } else {
-                result_set.score_par(&probs, &self.config.evaluator, &par)?
-            };
-            let policy = self.policies.select(&user.role, &request.purpose)?.clone();
+            sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
+            let scored = result_set.score_cached(&mut self.cache, &self.config.evaluator)?;
             let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
-            let decision = evaluate_results(&policy, &confidences);
+            let decision = evaluate_results(policy, &confidences);
             let released = released_tuples(&scored, &decision.released);
             let requested = (request.min_fraction * scored.len() as f64).ceil() as usize;
             let shortfall = requested.saturating_sub(released.len());
             if shortfall > 0 {
                 let withheld = withheld_tuples(&scored, &decision.withheld);
-                let cache = self.config.circuit_cache.then_some(&mut self.cache);
                 match improve::build_instance(
                     &self.catalog,
                     &self.costs,
@@ -806,23 +692,12 @@ impl Database {
                     &withheld,
                     policy.threshold,
                     shortfall,
-                    cache,
+                    &mut self.cache,
                 )? {
                     Some(instance) => instances.push(instance),
                     None => non_monotone = true,
                 }
             }
-            // Audit each query's policy decision, exactly as single-query
-            // evaluation does (the combined proposal is audited when it is
-            // applied; per-query `proposed` is therefore always false).
-            self.record_query_decision(
-                user,
-                request,
-                policy.threshold,
-                released.len(),
-                decision.withheld.len(),
-                false,
-            );
             responses.push(QueryResponse {
                 schema: result_set.schema().clone(),
                 released,
@@ -832,6 +707,33 @@ impl Database {
                 no_proposal: None,
             });
         }
+        let batch = self.combined_proposal(responses, &instances, non_monotone)?;
+        // Audit each query's policy decision, exactly as single-query
+        // evaluation does (the combined proposal is audited when it is
+        // applied; per-query `proposed` is therefore always false).
+        for (request, response) in requests.iter().zip(&batch.responses) {
+            self.record_query_decision(
+                user,
+                request,
+                response.threshold,
+                response.released.len(),
+                response.withheld,
+                false,
+            );
+        }
+        Ok(batch)
+    }
+
+    /// Solve the batch's merged improvement instance into one combined
+    /// proposal (or a reason there is none).
+    fn combined_proposal(
+        &self,
+        responses: Vec<QueryResponse>,
+        instances: &[pcqe_core::ProblemInstance],
+        non_monotone: bool,
+    ) -> Result<crate::response::BatchResponse> {
+        use pcqe_core::greedy::GreedyOptions;
+        use pcqe_core::multi::{solve_greedy, MultiQueryProblem};
 
         let mut batch = crate::response::BatchResponse {
             responses,
@@ -846,14 +748,14 @@ impl Database {
             batch.no_proposal = Some(NoProposal::NotNeeded);
             return Ok(batch);
         }
-        let multi = MultiQueryProblem::merge(&instances)?;
+        let multi = MultiQueryProblem::merge(instances)?;
         let greedy_opts = GreedyOptions {
             parallelism: self.config.parallelism(),
             ..GreedyOptions::default()
         };
         match solve_greedy(&multi, &greedy_opts) {
             Ok(out) => {
-                if recording {
+                if self.recording() {
                     out.stats.emit_as("solver.multi", &self.recorder);
                 }
                 let mut increments: Vec<crate::response::ProposedIncrement> = out
@@ -905,10 +807,10 @@ impl Database {
     /// the proposal's confidences substituted in, returning what the user
     /// *would* see after accepting. Nothing observable in the database
     /// changes — this is the "report the cost and the data to the manager"
-    /// step of Section 3.1, with the outcome made inspectable. (With the
-    /// circuit cache enabled the preview warms/invalidates pool memos,
-    /// which is why the receiver is `&mut`; the next scoring pass re-syncs
-    /// probabilities from the catalog, so answers are unaffected.)
+    /// step of Section 3.1, with the outcome made inspectable. (The
+    /// preview warms/invalidates circuit-pool memos, which is why the
+    /// receiver is `&mut`; the next scoring pass re-syncs probabilities
+    /// from the catalog, so answers are unaffected.)
     ///
     /// This is the incremental-re-scoring fast path: overriding one base
     /// tuple's confidence invalidates only the pool nodes whose var-set
@@ -935,14 +837,9 @@ impl Database {
                 .copied()
                 .or_else(|| self.catalog.confidence(id))
         };
-        let scored = if self.config.circuit_cache {
-            sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
-            let scored = result_set.score_cached(&mut self.cache, &self.config.evaluator)?;
-            self.record_cache_activity();
-            scored
-        } else {
-            result_set.score_par(&probs, &self.config.evaluator, &par)?
-        };
+        sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
+        let scored = result_set.score_cached(&mut self.cache, &self.config.evaluator)?;
+        self.record_cache_activity();
         let policy = self.policies.select(&user.role, &request.purpose)?;
         let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
         let decision = evaluate_results(policy, &confidences);
@@ -1437,36 +1334,12 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_surfaces_batch_counts_only_when_vectorized() {
-        // The default (vectorized) profile annotates batch-producing
-        // operators; scans materialise one morsel batch here.
+    fn explain_analyze_surfaces_batch_counts() {
+        // The vectorized profile annotates batch-producing operators;
+        // scans materialise one morsel batch here.
         let db = paper_db();
         let text = db.explain_analyze(QUERY).unwrap();
         assert!(text.contains("batches=1"), "got:\n{text}");
-        // Tuple-at-a-time execution never mentions batches — the
-        // rendering is unchanged from before the vectorized executor.
-        let db = paper_db_with(EngineConfig {
-            vectorized_execution: false,
-            ..EngineConfig::default()
-        });
-        let text = db.explain_analyze(QUERY).unwrap();
-        assert!(!text.contains("batches="), "got:\n{text}");
-    }
-
-    #[test]
-    fn explain_analyze_logical_fallback_keeps_logical_labels() {
-        let db = paper_db_with(EngineConfig {
-            physical_planning: false,
-            ..EngineConfig::default()
-        });
-        let text = db.explain_analyze(QUERY).unwrap();
-        assert!(
-            text.contains("Select (rows_in=2 rows_out=2"),
-            "got:\n{text}"
-        );
-        assert!(text.contains("Scan Proposal (rows_in=2 rows_out=2"));
-        assert!(text.contains("Scan CompanyInfo (rows_in=1 rows_out=1"));
-        assert!(text.contains("Join (rows_in=3 rows_out=2"));
     }
 
     #[test]
@@ -1477,122 +1350,6 @@ mod tests {
         assert!(text.contains("PHYSICAL"), "got:\n{text}");
         assert!(text.contains("NestedLoopJoin"), "got:\n{text}");
         assert!(text.contains("TableScan Proposal [filter:"), "got:\n{text}");
-    }
-
-    #[test]
-    fn physical_planning_off_is_result_identical() {
-        let mut physical = paper_db();
-        let mut logical = paper_db_with(EngineConfig {
-            physical_planning: false,
-            ..EngineConfig::default()
-        });
-        for (user, purpose) in [
-            (User::new("sue", "Secretary"), "analysis"),
-            (User::new("mark", "Manager"), "investment"),
-        ] {
-            let request = QueryRequest::new(QUERY, purpose);
-            let a = physical.query(&user, &request).unwrap();
-            let b = logical.query(&user, &request).unwrap();
-            assert_eq!(a.released, b.released);
-            assert_eq!(a.withheld, b.withheld);
-            assert_eq!(a.proposal, b.proposal);
-        }
-        assert_eq!(physical.audit_log(), logical.audit_log());
-    }
-
-    #[test]
-    fn beta_short_circuit_preserves_release_and_audit() {
-        let mut gated = paper_db();
-        let mut exact = paper_db_with(EngineConfig {
-            beta_short_circuit: false,
-            ..EngineConfig::default()
-        });
-        let secretary = User::new("sue", "Secretary");
-        let manager = User::new("mark", "Manager");
-        for db in [&mut gated, &mut exact] {
-            let s = db
-                .query(&secretary, &QueryRequest::new(QUERY, "analysis"))
-                .unwrap();
-            assert_eq!(s.released.len(), 1);
-            let m = db
-                .query(&manager, &QueryRequest::new(QUERY, "investment"))
-                .unwrap();
-            assert!(m.released.is_empty());
-            // The θ path is exempt from gating: the proposal is built
-            // from exact confidences either way.
-            let p = m.proposal.expect("a strategy exists");
-            assert!((p.cost - 10.0).abs() < 1e-9);
-        }
-        // Released/withheld counters and audit entries are identical.
-        assert_eq!(gated.audit_log(), exact.audit_log());
-        let gs = gated.metrics_snapshot();
-        let es = exact.metrics_snapshot();
-        assert_eq!(gs.counter("policy.released"), es.counter("policy.released"));
-        assert_eq!(gs.counter("policy.withheld"), es.counter("policy.withheld"));
-        // On the paper example the union bound (0.2) exceeds both β
-        // values, so the gated run skips nothing — and must say so.
-        assert_eq!(gs.counter("lineage.exact_skipped"), 0);
-        assert_eq!(es.counter("lineage.exact_skipped"), 0);
-    }
-
-    #[test]
-    fn beta_gating_skips_exact_evaluation_for_hopeless_rows() {
-        fn build(config: EngineConfig) -> Database {
-            let mut db = Database::new(config);
-            db.create_table(
-                "a",
-                Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
-            )
-            .unwrap();
-            db.create_table(
-                "b",
-                Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
-            )
-            .unwrap();
-            // Row 1: AND-lineage with upper bound min(0.2, 0.9) = 0.2 ≤ β
-            // but exact 0.18 — the short-circuit case.
-            db.insert("a", vec![Value::Int(1)], 0.2).unwrap();
-            db.insert("b", vec![Value::Int(1)], 0.9).unwrap();
-            // Row 2: bound 0.9 > β, exact 0.855 > β — released.
-            db.insert("a", vec![Value::Int(2)], 0.9).unwrap();
-            db.insert("b", vec![Value::Int(2)], 0.95).unwrap();
-            db.add_policy(ConfidencePolicy::new("r", "p", 0.5).unwrap());
-            db
-        }
-        let sql = "SELECT a.x FROM a JOIN b ON a.x = b.x";
-        let user = User::new("u", "r");
-
-        let mut db = build(EngineConfig::default());
-        // θ = 0.5 is met by the released row: the hopeless row's exact
-        // confidence is never computed.
-        let resp = db
-            .query(&user, &QueryRequest::new(sql, "p").expecting(0.5))
-            .unwrap();
-        assert_eq!(resp.released.len(), 1);
-        assert!((resp.released[0].confidence - 0.855).abs() < 1e-12);
-        let snap = db.metrics_snapshot();
-        assert_eq!(snap.counter("lineage.exact_skipped"), 1);
-        assert_eq!(snap.counter("lineage.exact_rescored"), 0);
-
-        // θ = 1.0 pulls the withheld row into strategy finding, which is
-        // exempt from gating: the row is re-scored exactly first.
-        let resp = db.query(&user, &QueryRequest::new(sql, "p")).unwrap();
-        let snap = db.metrics_snapshot();
-        assert_eq!(snap.counter("lineage.exact_skipped"), 2);
-        assert_eq!(snap.counter("lineage.exact_rescored"), 1);
-        let proposal = resp.proposal.expect("a strategy exists");
-
-        // The proposal is identical to a never-gated engine's.
-        let mut exact = build(EngineConfig {
-            beta_short_circuit: false,
-            ..EngineConfig::default()
-        });
-        let expected = exact
-            .query(&user, &QueryRequest::new(sql, "p"))
-            .unwrap()
-            .proposal
-            .expect("a strategy exists");
-        assert_eq!(proposal, expected);
     }
 
     #[test]
@@ -1716,6 +1473,35 @@ mod tests {
         let r2 = db.query(&user, &q2).unwrap();
         assert!(!r1.released.is_empty());
         assert_eq!(r2.released.len(), 2);
+    }
+
+    /// Run a batch whose second request fails, and check it left no
+    /// audit entry or policy counter behind for the first.
+    fn assert_failing_batch_is_not_audited(second: QueryRequest) {
+        let mut db = paper_db();
+        let user = User::new("sue", "Secretary");
+        let first = QueryRequest::new(QUERY, "analysis");
+        assert!(db.query_batch(&user, &[first.clone(), second]).is_err());
+        assert!(db.audit_log().is_empty());
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.counter("query.total"), 0);
+        assert_eq!(snap.counter("policy.released"), 0);
+        assert_eq!(snap.counter("policy.withheld"), 0);
+        // A batch that succeeds afterwards is audited as usual.
+        db.query_batch(&user, &[first]).unwrap();
+        assert_eq!(db.audit_log().len(), 1);
+        assert_eq!(db.metrics_snapshot().counter("query.total"), 1);
+    }
+
+    #[test]
+    fn batch_with_a_missing_policy_leaves_no_audit_entries() {
+        // The secretary has no policy for the "investment" purpose.
+        assert_failing_batch_is_not_audited(QueryRequest::new(QUERY, "investment"));
+    }
+
+    #[test]
+    fn batch_with_bad_sql_leaves_no_audit_entries() {
+        assert_failing_batch_is_not_audited(QueryRequest::new("SELECT FROM WHERE", "analysis"));
     }
 
     #[test]

@@ -2,19 +2,23 @@
 //!
 //! The contract of `lineage::cache` (DESIGN.md §10) is that the
 //! query-scoped circuit cache is a pure performance decision: for every
-//! query in the grid below, over randomised databases, an engine running
-//! with `EngineConfig::circuit_cache` on must produce **bit-identical**
-//! responses — same released rows in the same order, same lineage, same
-//! confidence bits, same withheld counts, same improvement proposals,
-//! same audit log — as the uncached engine, at any worker-thread count.
-//! Repeated what-if previews (the memo-warming, incrementally-invalidated
-//! fast path) must preview the same futures bit for bit.
+//! query in the grid below, over randomised databases, the engine — which
+//! always scores through the cache, β-gated — must release exactly what
+//! the uncached logical oracle (`common::oracle`) releases: same rows in
+//! the same order, same lineage, same confidence bits, same withheld
+//! counts, at any worker-thread count. Every proposal it makes must be
+//! valid under the oracle, and the audit log must record the oracle's
+//! counts. Repeated what-if previews (the memo-warming,
+//! incrementally-invalidated fast path) must preview the oracle's futures
+//! bit for bit.
 
 mod common;
 
-use common::for_each_case;
-use pcqe::cost::CostFn;
-use pcqe::engine::{Database, EngineConfig, QueryRequest, QueryResponse, User};
+use common::{
+    assert_audited, assert_matches_oracle, assert_proposal_valid, for_each_case, oracle,
+    oracle_with, paper_db, PAPER_QUERY,
+};
+use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::Rng64;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
@@ -97,45 +101,9 @@ fn random_customers(rng: &mut Rng64) -> Vec<(i64, f64, f64)> {
         .collect()
 }
 
-/// Assert two responses agree bit for bit: rows, order, lineage,
-/// confidence bits, withheld counts, proposals and their absence reasons.
-fn assert_responses_identical(a: &QueryResponse, b: &QueryResponse, context: &str) {
-    assert_eq!(a.schema, b.schema, "schema diverged for {context}");
-    assert_eq!(
-        a.threshold.to_bits(),
-        b.threshold.to_bits(),
-        "threshold diverged for {context}"
-    );
-    assert_eq!(
-        a.withheld, b.withheld,
-        "withheld count diverged for {context}"
-    );
-    assert_eq!(
-        a.released.len(),
-        b.released.len(),
-        "released count diverged for {context}"
-    );
-    for (i, (x, y)) in a.released.iter().zip(&b.released).enumerate() {
-        assert_eq!(x.tuple, y.tuple, "released row {i} diverged for {context}");
-        assert_eq!(
-            x.lineage, y.lineage,
-            "released lineage {i} diverged for {context}"
-        );
-        assert_eq!(
-            x.confidence.to_bits(),
-            y.confidence.to_bits(),
-            "confidence bits {i} diverged for {context}"
-        );
-    }
-    assert_eq!(a.proposal, b.proposal, "proposal diverged for {context}");
-    assert_eq!(
-        a.no_proposal, b.no_proposal,
-        "no-proposal reason diverged for {context}"
-    );
-}
-
-/// Cache on vs cache off over the randomised grid, sequential and
-/// 4-thread: responses and audit logs must be identical.
+/// The engine against the oracle over the randomised grid, sequential
+/// and 4-thread: released sets, confidence bits and withheld counts must
+/// match, proposals must be valid, and the audit log must agree.
 #[test]
 fn cached_engine_is_bit_identical_to_uncached() {
     for_each_case(CASES, 0x00CA_0001, |rng| {
@@ -149,28 +117,18 @@ fn cached_engine_is_bit_identical_to_uncached() {
                     parallel_threshold: 1,
                     ..EngineConfig::default()
                 };
-                let cached = EngineConfig {
-                    circuit_cache: true,
-                    ..config.clone()
-                };
-                let uncached = EngineConfig {
-                    circuit_cache: false,
-                    ..config
-                };
-                let mut db_on = build_db(cached, beta, &orders, &customers);
-                let mut db_off = build_db(uncached, beta, &orders, &customers);
-                for sql in QUERIES {
+                let mut db = build_db(config, beta, &orders, &customers);
+                for (i, sql) in QUERIES.iter().enumerate() {
                     let request = QueryRequest::new(*sql, "research");
-                    let a = db_on.query(&user, &request).expect("cached query");
-                    let b = db_off.query(&user, &request).expect("uncached query");
+                    let resp = db.query(&user, &request).expect("engine query");
                     let context = format!("{sql} (beta={beta}, threads={threads:?})");
-                    assert_responses_identical(&a, &b, &context);
+                    assert_matches_oracle(&resp, &oracle(&db, sql, beta), &context);
+                    if let Some(p) = &resp.proposal {
+                        assert_proposal_valid(&db, &[(sql, p.requested)], beta, p, &context);
+                    }
+                    assert_audited(&db.audit_log()[i], &resp, &context);
                 }
-                assert_eq!(
-                    db_on.audit_log(),
-                    db_off.audit_log(),
-                    "audit logs diverged (beta={beta}, threads={threads:?})"
-                );
+                assert_eq!(db.audit_log().len(), QUERIES.len());
             }
         }
     });
@@ -179,109 +137,53 @@ fn cached_engine_is_bit_identical_to_uncached() {
 // ---------------------------------------------------------------------------
 // What-if previews: the repeated-probe fast path.
 
-const PAPER_QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \
-    FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company \
-    WHERE funding < 1000000.0";
-
-/// The Section 3.1 database under a given configuration.
-fn paper_db(config: EngineConfig) -> Database {
-    let mut db = Database::new(config);
-    db.create_table(
-        "Proposal",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("proposal", DataType::Text),
-            Column::new("funding", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "CompanyInfo",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("income", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    let t02 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v1"),
-                Value::Real(800_000.0),
-            ],
-            0.3,
-        )
-        .unwrap();
-    let t03 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v2"),
-                Value::Real(900_000.0),
-            ],
-            0.4,
-        )
-        .unwrap();
-    let t13 = db
-        .insert(
-            "CompanyInfo",
-            vec![Value::text("SkyCam"), Value::Real(500_000.0)],
-            0.1,
-        )
-        .unwrap();
-    db.set_cost(t02, CostFn::linear(1000.0).unwrap()).unwrap();
-    db.set_cost(t03, CostFn::linear(100.0).unwrap()).unwrap();
-    db.set_cost(t13, CostFn::linear(10_000.0).unwrap()).unwrap();
-    db.add_policy(ConfidencePolicy::new("Manager", "investment", 0.06).unwrap());
-    db
-}
-
-/// Query → proposal → repeated what-if previews, cached vs uncached:
+/// Query → proposal → repeated what-if previews against the oracle:
 /// every preview must agree bit for bit, and the repeated probes must
 /// actually hit the cache's memoised subcircuits.
 #[test]
 fn what_if_previews_are_bit_identical_and_hit_the_cache() {
-    let mut on = EngineConfig::default().sequential();
-    on.circuit_cache = true;
-    let mut off = EngineConfig::default().sequential();
-    off.circuit_cache = false;
-    let mut db_on = paper_db(on);
-    let mut db_off = paper_db(off);
+    let mut db = paper_db(EngineConfig::default().sequential());
     let user = User::new("mark", "Manager");
     let request = QueryRequest::new(PAPER_QUERY, "investment");
+    const BETA: f64 = 0.06;
 
-    let a = db_on.query(&user, &request).expect("cached query");
-    let b = db_off.query(&user, &request).expect("uncached query");
-    assert_responses_identical(&a, &b, "paper query");
-    let proposal = a.proposal.expect("the paper example yields a strategy");
+    let resp = db.query(&user, &request).expect("engine query");
+    assert_matches_oracle(&resp, &oracle(&db, PAPER_QUERY, BETA), "paper query");
+    let proposal = resp.proposal.expect("the paper example yields a strategy");
+    assert_proposal_valid(
+        &db,
+        &[(PAPER_QUERY, proposal.requested)],
+        BETA,
+        &proposal,
+        "paper query",
+    );
+    let overrides = proposal
+        .increments
+        .iter()
+        .map(|i| (i.tuple_id, i.to))
+        .collect();
 
-    // Probe the same future repeatedly: the cached engine warms its memo
-    // on the first preview and answers the rest from it; the invalidation
-    // walk between catalog-backed and override-backed probabilities must
-    // not change a single bit.
+    // Probe the same future repeatedly: the engine warms its memo on the
+    // first preview and answers the rest from it; the invalidation walk
+    // between catalog-backed and override-backed probabilities must not
+    // change a single bit.
     for probe in 0..3 {
-        let wa = db_on.what_if(&user, &request, &proposal).expect("cached");
-        let wb = db_off
-            .what_if(&user, &request, &proposal)
-            .expect("uncached");
-        assert_responses_identical(&wa, &wb, &format!("what-if probe {probe}"));
-        assert_eq!(wa.released.len(), 1, "the fixed t03 releases the row");
-        assert!((wa.released[0].confidence - 0.065).abs() < 1e-12);
+        let preview = db.what_if(&user, &request, &proposal).expect("preview");
+        let expected = oracle_with(&db, PAPER_QUERY, BETA, true, &overrides);
+        assert_matches_oracle(&preview, &expected, &format!("what-if probe {probe}"));
+        assert_eq!(preview.released.len(), 1, "the fixed t03 releases the row");
+        assert!((preview.released[0].confidence - 0.065).abs() < 1e-12);
     }
-    assert_eq!(db_on.audit_log(), db_off.audit_log());
+    // Previews are not audited.
+    assert_eq!(db.audit_log().len(), 1);
 
-    let snapshot = db_on.metrics_snapshot();
+    let snapshot = db.metrics_snapshot();
     let compiled = snapshot.counters.get("lineage.circuit_compiled").copied();
     let hits = snapshot.counters.get("lineage.cache_hit").copied();
     let invalidated = snapshot.counters.get("lineage.cache_invalidated").copied();
     assert!(
         compiled.unwrap_or(0) > 0,
-        "cached engine never compiled into the pool: {compiled:?}"
+        "the engine never compiled into the pool: {compiled:?}"
     );
     assert!(
         hits.unwrap_or(0) > 0,
@@ -290,12 +192,5 @@ fn what_if_previews_are_bit_identical_and_hit_the_cache() {
     assert!(
         invalidated.unwrap_or(0) > 0,
         "override/restore probes never invalidated a memo: {invalidated:?}"
-    );
-    // The uncached engine must never touch those counters.
-    let off_snapshot = db_off.metrics_snapshot();
-    assert_eq!(
-        off_snapshot.counters.get("lineage.circuit_compiled"),
-        None,
-        "uncached engine recorded pool activity"
     );
 }

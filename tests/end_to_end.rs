@@ -4,6 +4,8 @@
 
 #![allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 
+mod common;
+
 use pcqe::core::dnc::DncOptions;
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::cost::CostFn;
@@ -91,6 +93,9 @@ fn all_solver_choices_reach_the_quota() {
     }
 }
 
+/// The engine always optimises; the oracle runs the unoptimised logical
+/// plan. Released rows (sorted, since the optimiser may reorder them)
+/// and confidences must agree.
 #[test]
 fn optimizer_toggle_gives_identical_results() {
     let queries = [
@@ -98,21 +103,13 @@ fn optimizer_toggle_gives_identical_results() {
         "SELECT region, COUNT(*) AS n FROM Orders GROUP BY region ORDER BY region",
         "SELECT o.id FROM Orders o JOIN Orders p ON o.region = p.region WHERE o.amount < p.amount",
     ];
-    let mut with = orders_db(EngineConfig::default());
-    let mut without = orders_db(EngineConfig {
-        optimize_plans: false,
-        ..EngineConfig::default()
-    });
-    with.add_policy(ConfidencePolicy::new("clerk", "audit", 0.0).unwrap());
-    without.add_policy(ConfidencePolicy::new("clerk", "audit", 0.0).unwrap());
+    let mut db = orders_db(EngineConfig::default());
+    db.add_policy(ConfidencePolicy::new("clerk", "audit", 0.0).unwrap());
     let clerk = User::new("carl", "clerk");
+    let unoptimized = std::collections::BTreeMap::new();
     for sql in queries {
-        let a = with
-            .query(&clerk, &QueryRequest::new(sql, "audit"))
-            .unwrap();
-        let b = without
-            .query(&clerk, &QueryRequest::new(sql, "audit"))
-            .unwrap();
+        let a = db.query(&clerk, &QueryRequest::new(sql, "audit")).unwrap();
+        let b = common::oracle_with(&db, sql, 0.0, false, &unoptimized);
         let mut ra: Vec<String> = a
             .released
             .iter()
@@ -126,9 +123,10 @@ fn optimizer_toggle_gives_identical_results() {
         ra.sort();
         rb.sort();
         assert_eq!(ra, rb, "{sql}");
+        assert_eq!(a.withheld, b.withheld, "{sql}");
         // And the optimised plan visibly differs for the filter query.
         if sql.contains("region = 'west'") {
-            assert!(with.explain(sql).unwrap().contains("Select"));
+            assert!(db.explain(sql).unwrap().contains("Select"));
         }
     }
 }

@@ -15,9 +15,7 @@
 mod common;
 
 use common::for_each_case;
-use pcqe::algebra::{
-    execute_physical_with, execute_vectorized_with, execute_with, lower, optimize,
-};
+use pcqe::algebra::{execute_vectorized_with, execute_with, lower, optimize};
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig};
 use pcqe::lineage::{Evaluator, Rng64, VarId};
@@ -114,52 +112,42 @@ fn random_customers(rng: &mut Rng64) -> Vec<(i64, f64, f64)> {
         .collect()
 }
 
-/// Execute one query logically, physically (tuple-at-a-time), and on the
-/// vectorized morsel-driven path under `par`; assert all three result
-/// sets are bit-identical (rows, order, lineage, score bits).
+/// Execute one query on the logical oracle and on the vectorized
+/// morsel-driven path under `par`; assert both result sets are
+/// bit-identical (rows, order, lineage, score bits).
 fn assert_bit_identical(sql: &str, catalog: &Catalog, par: &Parallelism, label: &str) {
     let plan = parse_and_plan(sql, catalog).expect("plans");
     let logical = optimize(&plan, catalog).expect("optimises");
     let physical = lower(&logical, catalog).expect("lowers");
     let a = execute_with(&logical, catalog, par).expect("logical");
-    for (b, engine) in [
-        (
-            execute_physical_with(&physical, catalog, par).expect("physical"),
-            "tuple",
-        ),
-        (
-            execute_vectorized_with(&physical, catalog, par).expect("vectorized"),
-            "vectorized",
-        ),
-    ] {
+    let b = execute_vectorized_with(&physical, catalog, par).expect("vectorized");
+    assert_eq!(
+        a.schema(),
+        b.schema(),
+        "schema diverged for {sql} ({label})"
+    );
+    assert_eq!(
+        a.rows().len(),
+        b.rows().len(),
+        "row count diverged for {sql} ({label})\nphysical plan:\n{physical}"
+    );
+    for (i, (x, y)) in a.rows().iter().zip(b.rows()).enumerate() {
         assert_eq!(
-            a.schema(),
-            b.schema(),
-            "schema diverged for {sql} ({label}, {engine})"
+            x, y,
+            "row {i} diverged for {sql} ({label})\nphysical plan:\n{physical}"
         );
+    }
+    // Confidence scoring over identical lineage must agree bit for bit.
+    let probs = |v: VarId| catalog.confidence(TupleId(v.0));
+    let ev = Evaluator::default();
+    let sa = a.score(&probs, &ev).expect("scores");
+    let sb = b.score(&probs, &ev).expect("scores");
+    for (x, y) in sa.iter().zip(&sb) {
         assert_eq!(
-            a.rows().len(),
-            b.rows().len(),
-            "row count diverged for {sql} ({label}, {engine})\nphysical plan:\n{physical}"
+            x.confidence.to_bits(),
+            y.confidence.to_bits(),
+            "confidence bits diverged for {sql} ({label})"
         );
-        for (i, (x, y)) in a.rows().iter().zip(b.rows()).enumerate() {
-            assert_eq!(
-                x, y,
-                "row {i} diverged for {sql} ({label}, {engine})\nphysical plan:\n{physical}"
-            );
-        }
-        // Confidence scoring over identical lineage must agree bit for bit.
-        let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-        let ev = Evaluator::default();
-        let sa = a.score(&probs, &ev).expect("scores");
-        let sb = b.score(&probs, &ev).expect("scores");
-        for (x, y) in sa.iter().zip(&sb) {
-            assert_eq!(
-                x.confidence.to_bits(),
-                y.confidence.to_bits(),
-                "confidence bits diverged for {sql} ({label}, {engine})"
-            );
-        }
     }
 }
 
